@@ -6,7 +6,7 @@ with seeded Monte Carlo verification.
 """
 
 from .bodies import (BodyError, BodyMetrics, ConvexBody, Lune, circumradius,
-                     contains, convert_rep, hyperplane_meets, inradius,
+                     contains, hyperplane_meets, inradius,
                      intersect_with_hemisphere, make_body, make_lune,
                      make_lune_from_angle, polar)
 from .covering import (CoveringError, CoveringInstance, LuneFan,

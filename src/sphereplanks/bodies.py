@@ -123,13 +123,6 @@ def make_body(n, h_normals=None, v_generators=None, lune=None, tag=""):
                       lune=lune, tag=tag)
 
 
-def convert_rep(body):
-    """Return the body with both representations populated and checked."""
-    return make_body(body.n, h_normals=body.h_normals,
-                     v_generators=body.v_generators, lune=body.lune,
-                     tag=body.tag)
-
-
 def contains(body, x, tol=CONTAIN_TOL):
     """Membership test <u_i, x> <= tol for all facet poles.
 
@@ -232,7 +225,7 @@ def make_lune(n, u1, u2=None, tag="lune", angle=None):
         raise BodyError("antipodal lune poles give an empty interior")
     if angle is None:
         angle = math.pi - dist
-    elif abs(angle - (math.pi - dist)) > 1e-7:
+    elif not abs(angle - (math.pi - dist)) <= 1e-7:  # also rejects NaN
         raise BodyError("stated lune angle disagrees with the poles")
     lune = Lune(u1=u1, u2=u2, angle=angle, ridge_basis=_ridge_basis(u1, u2, n))
     return make_body(n, h_normals=np.vstack([u1, u2]), lune=lune, tag=tag)

@@ -6,18 +6,17 @@ Two primitives drive everything else:
   finitely many points (Wolfe's algorithm).  Inradius and circumradius of a
   spherical body are both a max-min inner product, whose value is exactly
   this norm.
-* ``cone_generators``: generators of the cone {x : <a_i, x> <= 0} by
-  subset enumeration of active constraints (double-description style, with
-  explicit lineality handling).  Conversion V -> H is the same primitive
-  applied to the generators, since the facet normals of a cone generate its
-  polar cone.
+* ``cone_generators``: generators of the cone {x : <a_i, x> <= 0}: the
+  lineality space by SVD, then the extreme rays of the pointed part as
+  facet normals of one Qhull convex hull (Barber, Dobkin and Huhdanpaa,
+  1996).  Conversion V -> H is the same primitive applied to the
+  generators, since the facet normals of a cone generate its polar cone.
 """
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
+from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 DEDUP_TOL = 1e-9
 FEAS_TOL = 1e-9
@@ -118,20 +117,38 @@ def max_min_inner(points, tol=FEAS_TOL):
 
 
 def dedup_rows(rows, tol=DEDUP_TOL):
-    """Drop rows that duplicate an earlier row within ``tol``."""
-    out = []
-    for r in np.atleast_2d(np.asarray(rows, dtype=float)):
-        if all(np.linalg.norm(r - q) > tol for q in out):
-            out.append(r)
-    return np.array(out)
+    """Drop rows that lie within ``tol`` of an earlier kept row.
+
+    Greedy in row order.  A k-d tree finds the candidate pairs, so memory
+    stays O(m) plus the number of near pairs, and only those pairs are
+    visited one by one.
+    """
+    X = np.atleast_2d(np.asarray(rows, dtype=float))
+    # The tree's radius is doubled so that its own distance rounding cannot
+    # miss a pair; the norm below decides, as the greedy definition does.
+    i, j = cKDTree(X).query_pairs(2.0 * tol, output_type="ndarray").T
+    near = np.linalg.norm(X[i] - X[j], axis=1) <= tol
+    i, j = i[near], j[near]
+    keep = np.ones(X.shape[0], dtype=bool)
+    # Ascending in the later row, so every earlier row's fate is settled.
+    order = np.lexsort((i, j))
+    for a, b in zip(i[order], j[order]):
+        if keep[a]:
+            keep[b] = False
+    return X[keep]
 
 
 def cone_generators(normals, tol=FEAS_TOL):
     """Generators of the cone C = {x : <a_i, x> <= 0 for all rows a_i}.
 
-    Returns an array of unit vectors: a basis of the lineality space of C
-    with both signs, plus the extreme rays of the pointed part.  Empty when
-    C = {0}.  Supports ambient dimension d <= 5.
+    Returns unit vectors: a basis of the lineality space of C with both
+    signs, plus the extreme rays of the pointed part, which lives in the
+    row space of dimension d'.  For d' >= 3 those rays are the outward
+    normals of the facets through the origin of ConvexHull({0} and the
+    rows): one hull of m points instead of C(m, d'-1) SVDs.  For d' <= 2
+    they are the candidates +-1 or +-row perpendiculars that satisfy every
+    constraint.  Empty when C = {0}.  Supports d <= 5; raises
+    ``ValueError`` if Qhull fails on the input.
     """
     A = np.atleast_2d(np.asarray(normals, dtype=float))
     d = A.shape[1]
@@ -149,51 +166,25 @@ def cone_generators(normals, tol=FEAS_TOL):
     Q = Vt[:rank].T  # d x d' basis of the row space
     Ap = A @ Q
 
-    rays = _extreme_rays_pointed(Ap, tol)
-    gens = [Q @ r for r in rays]
-    for ell in L:
-        gens.append(ell)
-        gens.append(-ell)
-    if not gens:
+    if rank >= 3:
+        try:
+            eq = ConvexHull(np.vstack([np.zeros(rank), Ap])).equations
+        except QhullError as exc:
+            raise ValueError(f"cone conversion failed in Qhull: {exc}") from None
+        cand = eq[np.abs(eq[:, -1]) <= tol, :-1]
+    elif rank == 2:
+        perp = Ap[:, ::-1] * [-1.0, 1.0]
+        norms = np.linalg.norm(perp, axis=1)
+        perp = perp[norms > tol] / norms[norms > tol, None]
+        cand = np.vstack([perp, -perp])
+    elif rank == 1:
+        cand = np.array([[1.0], [-1.0]])
+    else:
+        cand = np.empty((0, 0))
+    rays = cand[np.max(Ap @ cand.T, axis=0) <= tol]
+
+    G = np.vstack([rays @ Q.T, L, -L])
+    if G.shape[0] == 0:
         return np.empty((0, d))
-    G = np.array(gens)
     G = G / np.linalg.norm(G, axis=1, keepdims=True)
     return dedup_rows(G, tol=1e-7)
-
-
-def _extreme_rays_pointed(A, tol):
-    """Extreme rays of the pointed cone {y : Ay <= 0} in R^d'."""
-    m, d = A.shape
-    if d == 0:
-        return []
-    rays = []
-    for subset in itertools.combinations(range(m), d - 1):
-        B = A[list(subset)]
-        null = _null_space(B, d, tol)
-        if null.shape[0] != 1:
-            continue
-        for r in (null[0], -null[0]):
-            vals = A @ r
-            if np.max(vals) > tol:
-                continue
-            active = A[np.abs(vals) <= tol]
-            if _rank(active, tol) != d - 1:
-                continue
-            if all(np.linalg.norm(r - q) > 1e-7 for q in rays):
-                rays.append(r)
-    return rays
-
-
-def _null_space(B, d, tol):
-    if B.shape[0] == 0:
-        return np.eye(d) if d == 1 else np.empty((0, d))
-    _, s, Vt = np.linalg.svd(B, full_matrices=True)
-    rank = int(np.sum(s > tol * max(1.0, s[0])))
-    return Vt[rank:]
-
-
-def _rank(M, tol):
-    if M.shape[0] == 0:
-        return 0
-    s = np.linalg.svd(M, compute_uv=False)
-    return int(np.sum(s > tol * max(1.0, s[0])))

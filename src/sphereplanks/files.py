@@ -59,6 +59,17 @@ def body_to_dict(body):
     return out
 
 
+def _numeric(value, what):
+    """Finite float array from a JSON field, or ``FileFormatError``."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise FileFormatError(f"bad {what}: {exc}") from None
+    if not np.all(np.isfinite(arr)):
+        raise FileFormatError(f"bad {what}: missing or non-finite entries")
+    return arr
+
+
 def body_from_dict(data):
     try:
         n = int(data["dim"])
@@ -69,18 +80,21 @@ def body_from_dict(data):
         raise FileFormatError(f"bad body file: {exc}") from None
     if rep not in ("H", "V", "both"):
         raise FileFormatError(f"bad rep field {rep!r}")
-    H = np.asarray(normals, dtype=float) if rep in ("H", "both") else None
-    V = np.asarray(generators, dtype=float) if rep in ("V", "both") else None
+    H = _numeric(normals, "normals") if rep in ("H", "both") else None
+    V = _numeric(generators, "generators") if rep in ("V", "both") else None
     tags = data.get("tags", {}) or {}
+    if not isinstance(tags, dict):
+        raise FileFormatError(f"bad tags field {tags!r}: expected an object")
+    angle = tags.get("lune_angle")
+    angle = None if angle is None else parse_angle(angle)
     try:
         body = bd.make_body(n, h_normals=H, v_generators=V,
                             tag=tags.get("tag", ""))
+        if angle is not None and H is not None and H.shape[0] <= 2:
+            body = bd.make_lune(n, H[0], H[-1], tag=tags.get("tag", "lune"),
+                                angle=angle)
     except bd.BodyError as exc:
         raise FileFormatError(f"invalid body: {exc}") from None
-    angle = tags.get("lune_angle")
-    if angle is not None and H is not None and H.shape[0] <= 2:
-        body = bd.make_lune(n, H[0], H[-1], tag=tags.get("tag", "lune"),
-                            angle=float(angle))
     return body
 
 
@@ -121,16 +135,17 @@ def fan_from_dict(data):
         n = int(data["dim"])
         kind = data.get("kind", "lune-fan")
         angles = [float(a) for a in data["boundary_angles"]]
+        ball = data.get("ball")
+        cap = None if ball is None else SphericalCap(
+            center=_numeric(ball["center"], "ball center"),
+            radius=float(ball["radius"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"bad fan file: {exc}") from None
     widen = data.get("widen")
+    if widen is not None:
+        widen = _numeric(widen, "widen")
     if kind == "hemisphere-fan":
         return make_hemisphere_fan(n, angles, widen=widen)
-    ball = data.get("ball")
-    cap = None
-    if ball is not None:
-        cap = SphericalCap(center=np.asarray(ball["center"], dtype=float),
-                           radius=float(ball["radius"]))
     return make_lune_fan(n, angles, widen=widen, ball=cap)
 
 

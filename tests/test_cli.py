@@ -182,6 +182,19 @@ def test_malformed_file_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("payload", [
+    {"dim": 2, "rep": "H", "normals": [[0, 0, -1]], "tags": [1]},
+    {"dim": 2, "rep": "H", "normals": {"a": 1}},
+    {"dim": 2, "rep": "H", "normals": [[0, 0, -1], [0, 1]]},
+    {"dim": 2, "rep": "H", "normals": [[0, 0, -1], [0, 1, 0]],
+     "tags": {"lune_angle": "nan"}},
+])
+def test_malformed_body_fields_exit_2(tmp_path, payload):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    assert main(["inradius", str(bad)]) == 2
+
+
 def test_missing_file_exits_2(tmp_path):
     code = main(["inradius", str(tmp_path / "nope.json")])
     assert code == 2
@@ -208,3 +221,17 @@ def test_bad_fan_file_exits_2(tmp_path):
     }))
     code = main(["verify-thm1", str(fan_path), "--samples", "5000"])
     assert code == 2
+
+
+def test_large_cap_polytope_and_polar_radius_duality(tmp_path):
+    """S^4 cap with 64 vertices: the polar's inradius is pi/2 minus the
+    body's circumradius."""
+    body, pol = tmp_path / "cap.json", tmp_path / "polar.json"
+    assert main(["gen-body", "--kind", "cap", "--dim", "4", "--vertices",
+                 "64", "--seed", "4", "--out", str(body)]) == 0
+    assert main(["polar", str(body), "--out", str(pol)]) == 0
+    _, out = run_cli(["inradius", str(pol)])
+    r_polar = json.loads(out)["inradius"]
+    _, out = run_cli(["circumradius", str(body)])
+    R = json.loads(out)["circumradius"]
+    assert abs(r_polar - (math.pi / 2.0 - R)) <= 1e-7

@@ -1,15 +1,18 @@
-"""Cone primitives: min-norm point, max-min inner products, generator
-enumeration."""
+"""Cone primitives: min-norm point, max-min inner products, cone
+conversion and its subset-enumeration oracle."""
 
-import itertools
 import math
 
 import numpy as np
 import pytest
+from _cone_oracle import oracle_cone_generators, oracle_dedup_rows
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from sphereplanks.cones import (cone_generators, dedup_rows, max_min_inner,
-                                min_norm_point)
+from sphereplanks import cap_polytope, make_body, make_stream, polar
+from sphereplanks.cones import (DEDUP_TOL, cone_generators, dedup_rows,
+                                max_min_inner, min_norm_point)
 
 
 def _min_norm_oracle(P):
@@ -125,8 +128,10 @@ def test_cone_generators_pointed_wedge():
 
 def test_cone_generators_trivial_cone_is_empty():
     # Constraints +-e_i force x = 0.
-    A = np.vstack([np.eye(3), -np.eye(3)])
-    assert cone_generators(A).shape[0] == 0
+    for d in (2, 3, 4, 5):
+        A = np.vstack([np.eye(d), -np.eye(d)])
+        assert cone_generators(A).shape == (0, d)
+        assert oracle_cone_generators(A).shape[0] == 0
 
 
 def test_cone_generators_rejects_high_dimension():
@@ -163,3 +168,122 @@ def test_extreme_ray_count_square_cone():
     G = cone_generators(-A)  # flip so the cone opens along +z
     assert G.shape[0] == 4
     assert np.all(G[:, 2] < 0.0)
+
+
+# ---------------------------------------------------------------------------
+# Qhull conversion against the subset-enumeration oracle
+# ---------------------------------------------------------------------------
+
+def _assert_same_rays(G, H, tol=1e-7):
+    """Same set of unit vectors up to ``tol``, in any order."""
+    assert G.shape == H.shape
+    if G.shape[0]:
+        D = np.linalg.norm(G[:, None, :] - H[None, :, :], axis=2)
+        assert D.min(axis=1).max() <= tol
+        assert D.min(axis=0).max() <= tol
+
+
+@given(d=st.integers(2, 5), m=st.integers(1, 12), rank=st.integers(1, 5),
+       shift=st.sampled_from([0.0, 0.5, 1.0, 2.0]), lattice=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_cone_generators_match_enumeration_oracle(d, m, rank, shift, lattice,
+                                                  seed):
+    """Random cones in R^2..R^5: Gaussian rows of any rank (lineality when
+    rank < d), or {-1, 0, 1} lattice rows with many non-simplicial facets
+    and repeated rows.  ``shift`` tilts the rows so the cone is often
+    nontrivial."""
+    rng = np.random.default_rng(seed)
+    if lattice:
+        A = rng.integers(-1, 2, size=(m, d)).astype(float)
+    else:
+        k = min(rank, d)
+        A = rng.normal(size=(m, k)) @ rng.normal(size=(k, d))
+    A[:, 0] += shift
+    _assert_same_rays(cone_generators(A), oracle_cone_generators(A))
+    assert np.array_equal(dedup_rows(A), oracle_dedup_rows(A))
+
+
+@given(m=st.integers(1, 30), d=st.integers(1, 5),
+       scale=st.sampled_from([0.3, 0.9, 1.1, 3.0]),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_dedup_rows_matches_greedy_loop(m, d, scale, seed):
+    """Rows with near copies, and near copies of those, at distances around
+    DEDUP_TOL: a chain a ~ b ~ c keeps c when b was dropped for a."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(m, d))
+    for _ in range(2):
+        step = rng.normal(size=(m, d))
+        step *= scale * DEDUP_TOL / np.linalg.norm(step, axis=1, keepdims=True)
+        X = np.vstack([X, X[rng.integers(0, X.shape[0], size=m)] + step])
+    X = rng.permutation(X)
+    assert np.array_equal(dedup_rows(X), oracle_dedup_rows(X))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("m", [1, 2])
+def test_hemisphere_and_lune_cones_match_oracle(d, m):
+    rng = np.random.default_rng(10 * d + m)
+    A = rng.normal(size=(m, d))
+    A /= np.linalg.norm(A, axis=1, keepdims=True)
+    G = cone_generators(A)
+    _assert_same_rays(G, oracle_cone_generators(A))
+    # Lineality of dimension d - m, with both signs, plus m extreme rays.
+    assert G.shape[0] == 2 * (d - m) + m
+
+
+def test_rank_deficient_cone_has_lineality():
+    # Rows in a 2-plane of R^4, tilted so the cone within it is a wedge:
+    # a 2-dim lineality space plus 2 extreme rays.
+    rng = np.random.default_rng(3)
+    plane = np.linalg.qr(rng.normal(size=(4, 2)))[0].T
+    A = (rng.normal(size=(5, 2)) + [2.0, 0.0]) @ plane
+    G = cone_generators(A)
+    _assert_same_rays(G, oracle_cone_generators(A))
+    assert G.shape[0] == 6
+    lineal = G[np.max(np.abs(A @ G.T), axis=0) <= 1e-9]
+    assert lineal.shape[0] == 4 and np.linalg.matrix_rank(lineal) == 2
+    _assert_same_rays(lineal, -lineal)
+
+
+@pytest.mark.parametrize("factor,kept", [(0.5, 4), (2.0, 5)])
+def test_duplicate_row_near_dedup_tolerance(factor, kept):
+    """A copy of a row moved by just under / just over DEDUP_TOL is dropped /
+    kept, exactly as the greedy loop does.  A kept copy is a real constraint
+    that splits one facet of the square cone, adding a fifth ray."""
+    A = np.array([[1.0, 0.0, -1.0], [-1.0, 0.0, -1.0],
+                  [0.0, 1.0, -1.0], [0.0, -1.0, -1.0]]) / math.sqrt(2.0)
+    A = np.vstack([A, A[2] + factor * DEDUP_TOL * np.array([1.0, 0.0, 0.0])])
+    D = dedup_rows(A)
+    assert D.shape[0] == kept
+    assert np.array_equal(D, oracle_dedup_rows(A))
+    G = cone_generators(A)
+    _assert_same_rays(G, oracle_cone_generators(A))
+    assert G.shape[0] == kept
+
+
+def test_v_to_h_of_polar_without_interior():
+    """The polar of a lune is an arc: converting its generators to facets
+    still matches the oracle and gives a set flagged as not a body."""
+    lune = make_body(3, h_normals=np.array([[0.0, 0.0, 0.6, 0.8],
+                                            [0.0, 0.6, 0.0, 0.8]]))
+    pol = polar(lune)
+    assert not pol.is_body
+    H = cone_generators(pol.v_generators)
+    _assert_same_rays(H, oracle_cone_generators(pol.v_generators))
+    back = make_body(3, v_generators=pol.v_generators)
+    assert not back.is_body
+    _assert_same_rays(back.h_normals, H)
+
+
+def test_cap_polytope_s3_with_64_vertices_round_trips():
+    """64 points in general position on the boundary 2-sphere give
+    2 * 64 - 4 = 124 facets, and H -> V -> H returns them."""
+    body = cap_polytope(3, [0.0, 0.0, 0.0, 1.0], 0.8, 64, make_stream(7))
+    assert body.h_normals.shape == (124, 4)
+    assert body.v_generators.shape == (64, 4)
+    V = make_body(3, h_normals=body.h_normals).v_generators
+    _assert_same_rays(V, body.v_generators)
+    H = make_body(3, v_generators=V).h_normals
+    _assert_same_rays(H, body.h_normals)

@@ -130,3 +130,10 @@ def test_fan_dict_sum_field():
 def test_fan_dict_validation():
     with pytest.raises(FileFormatError):
         fan_from_dict({"kind": "lune-fan"})
+    angles = [0.0, math.pi, 2 * math.pi]
+    with pytest.raises(FileFormatError):
+        fan_from_dict({"dim": 2, "boundary_angles": angles,
+                       "widen": {"a": 1}})
+    with pytest.raises(FileFormatError):
+        fan_from_dict({"dim": 2, "boundary_angles": angles,
+                       "ball": {"radius": 1.0}})
