@@ -14,13 +14,13 @@ from .covering import (CoveringError, CoveringInstance, LuneFan,
                        verify_antipodal_argument, verify_thm1)
 from .gnomonic import (EuclideanPolytope, ProjectionFrame, WeightFunction,
                        check_projection_consistency, circumcenter_frame,
-                       constant_weight, cumulative_F, frame_at,
-                       hyperplane_param, project_body, project_point,
-                       spherical_weight, support_function, tabulated_weight,
-                       uf, unproject_point)
-from .linhart import (KBInstance, SimplexInBall, check_7_1, constant_C,
-                      make_simplex, min_uf_search, normal_cone_membership,
-                      random_simplex, regular_triangle, segment_simplex,
+                       constant_weight, frame_at, hyperplane_param,
+                       project_body, project_point, spherical_weight,
+                       support_function, tabulated_weight, uf,
+                       unproject_point)
+from .linhart import (SimplexInBall, check_7_1, constant_C, make_simplex,
+                      min_uf_search, normal_cone_membership, random_simplex,
+                      regular_triangle, segment_simplex,
                       smallest_enclosing_ball, uf_lower_bound)
 from .measure import (Estimate, VerificationReport, check_identity_2_1,
                       mean_width_mc, verify_thm2, volume_mc)

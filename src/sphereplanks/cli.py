@@ -10,6 +10,7 @@ the report.  Exit codes: 0 = pass/success, 1 = verification failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -31,7 +32,11 @@ SEED_ENV = "SPHERE_PLANKS_SEED"
 
 
 def _default_seed():
-    return int(os.environ.get(SEED_ENV, "0"))
+    raw = os.environ.get(SEED_ENV, "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{SEED_ENV}={raw!r} is not an integer") from None
 
 
 def _weight(name, n):
@@ -73,6 +78,12 @@ def _jsonable(obj):
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return obj.item()
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
+
+
+def _mc(args):
+    """The Monte Carlo options every sampling verb passes through."""
+    return {"samples": args.samples, "seed": args.seed,
+            "threads": args.threads}
 
 
 def _report_payload(report, args):
@@ -156,15 +167,13 @@ def cmd_polar(args):
 
 def cmd_volume(args):
     body = files.load_body(args.body)
-    est = ms.volume_mc(body, samples=args.samples, seed=args.seed,
-                       threads=args.threads)
+    est = ms.volume_mc(body, **_mc(args))
     return 0, _estimate_dict(est)
 
 
 def cmd_meanwidth(args):
     body = files.load_body(args.body)
-    est = ms.mean_width_mc(body, samples=args.samples, seed=args.seed,
-                           threads=args.threads)
+    est = ms.mean_width_mc(body, **_mc(args))
     return 0, _estimate_dict(est)
 
 
@@ -173,8 +182,7 @@ def cmd_uf(args):
     frame = gn.circumcenter_frame(body)
     poly = gn.project_body(frame, body)
     w = _weight(args.weight, body.n)
-    est = gn.uf(poly, w, samples=args.samples, seed=args.seed,
-                threads=args.threads)
+    est = gn.uf(poly, w, **_mc(args))
     out = _estimate_dict(est)
     out["weight"] = w.kind
     return 0, out
@@ -182,31 +190,26 @@ def cmd_uf(args):
 
 def cmd_verify_thm2(args):
     body = files.load_body(args.body)
-    rep = ms.verify_thm2(body, samples=args.samples, seed=args.seed,
-                         threads=args.threads)
+    rep = ms.verify_thm2(body, **_mc(args))
     return (0 if rep.passed else 1), _report_payload(rep, args)
 
 
 def cmd_verify_2_1(args):
     body = files.load_body(args.body)
-    rep = ms.check_identity_2_1(body, samples=args.samples, seed=args.seed,
-                                threads=args.threads)
+    rep = ms.check_identity_2_1(body, **_mc(args))
     return (0 if rep.passed else 1), _report_payload(rep, args)
 
 
 def cmd_verify_projection(args):
     body = files.load_body(args.body)
-    rep = gn.check_projection_consistency(body, samples=args.samples,
-                                          seed=args.seed,
-                                          threads=args.threads)
+    rep = gn.check_projection_consistency(body, **_mc(args))
     return (0 if rep.passed else 1), _report_payload(rep, args)
 
 
 def cmd_verify_thm1(args):
     inst = files.load_fan(args.fan)
-    rep = cov.verify_thm1(inst, samples=args.samples, seed=args.seed)
-    anti = cov.verify_antipodal_argument(inst, samples=args.samples,
-                                         seed=args.seed)
+    rep = cov.verify_thm1(inst, **_mc(args))
+    anti = cov.verify_antipodal_argument(inst, **_mc(args))
     passed = rep.passed and anti.passed
     payload = {"thm1": _report_payload(rep, args),
                "antipodal": _report_payload(anti, args),
@@ -217,7 +220,7 @@ def cmd_verify_thm1(args):
 def cmd_verify_prop(args):
     w = _weight(args.weight, args.dim)
     rep = lh.min_uf_search(args.radius, w, n=args.dim, trials=args.trials,
-                           samples=args.samples, seed=args.seed)
+                           **_mc(args))
     return (0 if rep.passed else 1), _report_payload(rep, args)
 
 
@@ -229,8 +232,9 @@ def cmd_verify_linhart(args):
     else:
         s = lh.random_simplex(args.radius, args.dim, make_stream(args.seed))
     w = _weight(args.weight, args.dim)
-    reports = [lh.check_7_1(s, j, w, samples=args.samples or 200_000,
-                            seed=args.seed + j)
+    samples = 200_000 if args.samples is None else args.samples
+    reports = [lh.check_7_1(s, j, w, samples=samples, seed=args.seed + j,
+                            threads=args.threads)
                for j in range(s.k + 1)]
     passed = all(r.passed for r in reports)
     payload = {"vertices": [_report_payload(r, args) for r in reports],
@@ -242,13 +246,14 @@ def cmd_verify_linhart(args):
 # ---------------------------------------------------------------------------
 
 def _add_common(p, samples_default=None):
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--samples", type=int, default=samples_default)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None)
 
 
+@functools.cache
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="sphereplanks",
@@ -326,10 +331,11 @@ def build_parser():
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
+        if args.seed is None:
+            args.seed = _default_seed()
         code, payload = args.func(args)
     except cov.CoveringError as exc:
         print(f"verification refused: {exc}", file=sys.stderr)

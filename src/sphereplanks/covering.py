@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bodies as bd
-from .measure import VerificationReport
-from .sphere import (SphericalCap, geodesic_distance, make_stream,
-                     sample_uniform_cap, sample_uniform_sphere)
+from .measure import VerificationReport, mc_map
+from .sphere import (SphericalCap, geodesic_distance, sample_uniform_cap,
+                     sample_uniform_sphere)
 
 ANGLE_TOL = 1e-12
 RADIUS_TOL = 1e-7
@@ -159,18 +159,24 @@ def fan_covering_certificate(inst):
     return abs(angles[-1] - angles[0] - 2.0 * math.pi) <= ANGLE_TOL
 
 
-def check_covering(inst, samples=100_000, seed=0):
-    """Probabilistic covering certificate: every point sampled uniformly in
-    B must lie in some body; up to 10 uncovered witnesses are reported."""
-    rng = make_stream(seed)
-    pts = sample_uniform_cap(inst.B, rng, size=samples)
-    covered = np.zeros(samples, dtype=bool)
-    for body in inst.bodies:
+def _uncovered(bodies, pts, covered):
+    """Mask of ``pts`` outside every body and outside ``covered`` (updated)."""
+    for body in bodies:
         covered |= np.asarray(bd.contains(body, pts))
         if np.all(covered):
             break
-    witnesses = pts[~covered][:10]
-    n_missed = int(np.count_nonzero(~covered))
+    return ~covered
+
+
+def check_covering(inst, samples=100_000, seed=0, threads=1):
+    """Probabilistic covering certificate: every point sampled uniformly in
+    B must lie in some body; up to 10 uncovered witnesses are reported."""
+    def draw(rng, size):
+        pts = sample_uniform_cap(inst.B, rng, size=size)
+        return pts[_uncovered(inst.bodies, pts, np.zeros(size, dtype=bool))]
+
+    missed = np.concatenate(mc_map(draw, samples, seed, threads))
+    n_missed = missed.shape[0]
     cert = fan_covering_certificate(inst)
     return VerificationReport(
         claim="covering",
@@ -178,7 +184,7 @@ def check_covering(inst, samples=100_000, seed=0):
         slack=-float(n_missed), tolerance=0.0,
         tolerance_rule="every sampled point of B lies in some body",
         passed=n_missed == 0,
-        details={"witnesses": witnesses.tolist(), "seed": seed,
+        details={"witnesses": missed[:10].tolist(), "seed": seed,
                  "samples": samples, "fan_certificate": cert},
     )
 
@@ -190,13 +196,13 @@ def _body_inradius(body):
     return bd.inradius(body).inradius
 
 
-def verify_thm1(inst, samples=100_000, seed=0):
+def verify_thm1(inst, samples=100_000, seed=0, threads=1):
     """Covering bound: sum of inradii >= r(B).
 
     For r(B) = pi/2 the stronger sum over the intersections with B is
     checked as well.  Refuses instances that fail the covering check.
     """
-    cov = check_covering(inst, samples=samples, seed=seed)
+    cov = check_covering(inst, samples=samples, seed=seed, threads=threads)
     if not cov.passed:
         raise CoveringError(
             f"covering check failed with {-cov.slack:.0f} uncovered samples")
@@ -226,7 +232,7 @@ def verify_thm1(inst, samples=100_000, seed=0):
     )
 
 
-def verify_antipodal_argument(inst, samples=100_000, seed=0):
+def verify_antipodal_argument(inst, samples=100_000, seed=0, threads=1):
     """Re-derive the bound through the antipodal ball.
 
     B' is the cap of radius pi - r(B) at the antipode of B's center; with
@@ -244,15 +250,13 @@ def verify_antipodal_argument(inst, samples=100_000, seed=0):
         )
     n = inst.B.n
     anti = SphericalCap(center=-inst.B.center, radius=math.pi - r_B)
-    rng = make_stream(seed)
-    pts = sample_uniform_sphere(n, rng, size=samples)
-    covered = np.asarray(geodesic_distance(pts, anti.center) <= anti.radius
-                         + 1e-12)
-    for body in inst.bodies:
-        covered |= np.asarray(bd.contains(body, pts))
-        if np.all(covered):
-            break
-    n_missed = int(np.count_nonzero(~covered))
+
+    def draw(rng, size):
+        pts = sample_uniform_sphere(n, rng, size=size)
+        near = geodesic_distance(pts, anti.center) <= anti.radius + 1e-12
+        return int(np.count_nonzero(_uncovered(inst.bodies, pts, near)))
+
+    n_missed = sum(mc_map(draw, samples, seed, threads))
 
     total = math.fsum(_body_inradius(b) for b in inst.bodies)
     direct_slack = total - r_B

@@ -13,7 +13,6 @@ reproduces the spherical mean width of the unprojected body.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,9 +21,8 @@ from scipy.integrate import quad
 from . import bodies as bd
 from .cones import min_norm_point
 from .measure import (Estimate, VerificationReport, body_digest,
-                      combined_stderr, mean_width_mc, _batch_sizes)
-from .sphere import (N_BATCHES, make_stream, sample_uniform_sphere,
-                     sphere_area, unit_vector)
+                      combined_stderr, mc_map, mean_width_mc)
+from .sphere import sample_uniform_sphere, sphere_area, unit_vector
 
 FRAME_TOL = 1e-12
 EQUATOR_TOL = 1e-9
@@ -223,14 +221,6 @@ def _quadrature_cumulative(f):
     return F
 
 
-def cumulative_F(w, s):
-    """F(s) = int_0^s f(t) dt; closed form where available, else quadrature
-    to 1e-10."""
-    if np.any(np.asarray(s) < 0.0):
-        raise ValueError("s must be nonnegative")
-    return w.F(s)
-
-
 def validate_weight(w, smax=10.0, points=1000):
     """Check f > 0, F(0) = 0 and F strictly increasing on a grid."""
     grid = np.linspace(0.0, smax, points)
@@ -316,30 +306,17 @@ def _uf_quadrature_2d(poly, w, seed):
 def _uf_mc(poly, w, samples, seed, threads):
     n = poly.n
     samples = 1_000_000 if samples is None else samples
-    sizes = _batch_sizes(samples)
 
-    def run(batch):
-        size = sizes[batch]
-        if size == 0:
-            return 0.0, 0.0
-        rng = make_stream(seed, (batch,))
-        dirs = sample_uniform_sphere(n - 1, rng, size)
-        vals = _uf_integrand(poly, w, dirs)
+    def draw(rng, size):
+        vals = _uf_integrand(poly, w, sample_uniform_sphere(n - 1, rng, size))
         return float(np.sum(vals)), float(np.sum(vals * vals))
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(run, range(N_BATCHES)))
-    else:
-        parts = [run(b) for b in range(N_BATCHES)]
-    total = sum(sizes)
-    s1 = math.fsum(p[0] for p in parts)
-    s2 = math.fsum(p[1] for p in parts)
-    mean = s1 / total
-    var = max(0.0, s2 / total - mean * mean)
+    s1, s2 = map(math.fsum, zip(*mc_map(draw, samples, seed, threads)))
+    mean = s1 / samples
+    var = max(0.0, s2 / samples - mean * mean)
     mu = sphere_area(n - 1)
-    return Estimate(value=mu * mean, stderr=mu * math.sqrt(var / total),
-                    samples=total, seed=seed, quantity="uf")
+    return Estimate(value=mu * mean, stderr=mu * math.sqrt(var / samples),
+                    samples=int(samples), seed=seed, quantity="uf")
 
 
 def check_projection_consistency(body, w=None, samples=None, seed=0, threads=1):

@@ -17,7 +17,7 @@ from scipy.integrate import quad
 
 from .cones import min_norm_point
 from .gnomonic import EuclideanPolytope, uf
-from .measure import Estimate, VerificationReport
+from .measure import Estimate, VerificationReport, mc_map
 from .sphere import make_stream, sample_uniform_sphere, sphere_area
 
 SEB_TOL = 1e-10
@@ -185,32 +185,32 @@ def uf_lower_bound(R, w, n):
     return sphere_area(n - 1) * constant_C(R, w, n)
 
 
-def sample_spherical_image(s, j, samples, seed):
+def sample_spherical_image(s, j, samples, seed, threads=1):
     """Directions uniform in S_j, by rejection from the half-sphere D_j.
 
     Returns ``(accepted, n_halfsphere)``; the acceptance fraction estimates
     mu(S_j) / mu(D_j), and the accepted samples feed the g-average, so both
     estimates share the same draws.
     """
-    rng = make_stream(seed)
-    n = s.n
     ej = s.vertices[j] / s.R
-    dirs = sample_uniform_sphere(n - 1, rng, size=samples)
-    # Fold onto D_j; preserves uniformity on the half-sphere.
-    sign = np.where(dirs @ ej >= 0.0, 1.0, -1.0)
-    dirs = dirs * sign[:, None]
-    mask = normal_cone_membership(s, j, dirs)
-    return dirs[mask], samples
+
+    def draw(rng, size):
+        dirs = sample_uniform_sphere(s.n - 1, rng, size=size)
+        # Fold onto D_j; preserves uniformity on the half-sphere.
+        dirs *= np.where(dirs @ ej >= 0.0, 1.0, -1.0)[:, None]
+        return dirs[normal_cone_membership(s, j, dirs)]
+
+    return np.concatenate(mc_map(draw, samples, seed, threads)), samples
 
 
-def check_7_1(s, j, w, samples=200_000, seed=0):
+def check_7_1(s, j, w, samples=200_000, seed=0, threads=1):
     """Compare the S_j-average of g with the hemisphere average C(R, f).
 
     The average over the spherical image can only exceed the hemisphere
     average, with equality exactly when S_j is the full half-sphere (the
     segment case).
     """
-    accepted, total = sample_spherical_image(s, j, samples, seed)
+    accepted, total = sample_spherical_image(s, j, samples, seed, threads)
     if accepted.shape[0] == 0:
         raise ValueError("degenerate simplex: empty spherical image sample")
     ej = s.vertices[j] / s.R
@@ -233,19 +233,22 @@ def check_7_1(s, j, w, samples=200_000, seed=0):
     )
 
 
-def uf_via_images(s, w, samples=200_000, seed=0):
+def uf_via_images(s, w, samples=200_000, seed=0, threads=1):
     """U_f of the simplex summed over spherical images.
 
     Independent route for the chain identity: each direction contributes
     F(<v_j, u>) for the vertex whose normal cone it falls in.
     """
-    rng = make_stream(seed)
-    dirs = sample_uniform_sphere(s.n - 1, rng, size=samples)
-    vals = np.zeros(samples)
-    for j in range(s.k + 1):
-        mask = np.asarray(normal_cone_membership(s, j, dirs))
-        h = np.clip(dirs[mask] @ s.vertices[j], 0.0, None)
-        vals[mask] = np.asarray(w.F(h), dtype=float)
+    def draw(rng, size):
+        dirs = sample_uniform_sphere(s.n - 1, rng, size=size)
+        vals = np.zeros(size)
+        for j in range(s.k + 1):
+            mask = np.asarray(normal_cone_membership(s, j, dirs))
+            h = np.clip(dirs[mask] @ s.vertices[j], 0.0, None)
+            vals[mask] = np.asarray(w.F(h), dtype=float)
+        return vals
+
+    vals = np.concatenate(mc_map(draw, samples, seed, threads))
     mu = sphere_area(s.n - 1)
     mean = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / math.sqrt(samples))
@@ -300,7 +303,7 @@ def random_kb_instance(R, n, rng, max_points=8, retries=100):
     raise RuntimeError("failed to generate a K(B) instance")
 
 
-def min_uf_search(R, w, n=2, trials=50, samples=None, seed=0):
+def min_uf_search(R, w, n=2, trials=50, samples=None, seed=0, threads=1):
     """Randomized minimality check: no K(B) instance may fall below the
     diameter segment, and the segment must match the closed-form bound."""
     if trials < 1:
@@ -308,7 +311,7 @@ def min_uf_search(R, w, n=2, trials=50, samples=None, seed=0):
     seg = segment_simplex(R, n)
     seg_poly = EuclideanPolytope(n=n, vertices=seg.vertices,
                                  contains_origin=True)
-    seg_est = uf(seg_poly, w, samples=samples, seed=seed)
+    seg_est = uf(seg_poly, w, samples=samples, seed=seed, threads=threads)
     bound = uf_lower_bound(R, w, n)
 
     values = []
@@ -316,7 +319,8 @@ def min_uf_search(R, w, n=2, trials=50, samples=None, seed=0):
     rng = make_stream(seed, (1,))
     for t in range(trials):
         inst = random_kb_instance(R, n, rng)
-        est = uf(inst.poly, w, samples=samples, seed=seed + 2 + t)
+        est = uf(inst.poly, w, samples=samples, seed=seed + 2 + t,
+                 threads=threads)
         values.append(est.value)
         gap = est.value - (seg_est.value
                            - 3.0 * math.hypot(est.stderr, seg_est.stderr))

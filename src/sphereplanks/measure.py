@@ -1,9 +1,10 @@
-"""Monte Carlo estimators for spherical volume and spherical mean width,
-plus verifiers for the polarity identity and the volume-inradius bound.
+"""The Monte Carlo engine ``mc_map``, through which every sampling verifier
+draws; estimators for spherical volume and mean width; verifiers for the
+polarity identity and the volume-inradius bound.
 
-All estimators split their sample budget over a fixed number of substreams
-(independent of worker count), so results are bit-reproducible for a given
-seed regardless of threading.  Acceptance everywhere is the 3-sigma rule.
+The engine splits the sample budget over a fixed number of Philox
+substreams, so results are bit-reproducible for a given (seed, samples)
+at any thread count.  Acceptance everywhere is the 3-sigma rule.
 """
 
 from __future__ import annotations
@@ -16,8 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bodies as bd
-from .sphere import N_BATCHES, make_stream, sample_uniform_sphere, sphere_area
+from .sphere import make_stream, sample_uniform_sphere, sphere_area
 
+#: Batches every Monte Carlo run is split into; fixed, so that results do
+#: not depend on how many workers execute them.
+N_BATCHES = 64
 DEFAULT_SAMPLES = {2: 1_000_000, 3: 1_000_000, 4: 4_000_000}
 
 
@@ -84,29 +88,34 @@ def _batch_sizes(samples):
     return [base + (1 if i < rem else 0) for i in range(N_BATCHES)]
 
 
-def mc_hit_fraction(indicator, n, samples, seed, threads=1, sampler=None):
-    """Count indicator hits over uniform sphere samples, batched.
+def mc_map(draw, samples, seed, threads=1):
+    """``[draw(rng, size)]`` over the nonempty batches, in batch order.
 
-    ``indicator`` maps an (m, n+1) point array to a boolean array.  Returns
-    ``(hits, total)``.  The batch layout is fixed, so the result depends
-    only on (seed, samples), never on ``threads``.
+    Batch ``b`` draws from ``make_stream(seed, (b,))``, so the results
+    depend only on (seed, samples), never on ``threads``.
     """
-    sizes = _batch_sizes(samples)
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    jobs = [(b, size) for b, size in enumerate(_batch_sizes(samples)) if size]
 
-    def run(batch):
-        size = sizes[batch]
-        if size == 0:
-            return 0
-        rng = make_stream(seed, (batch,))
-        pts = sampler(rng, size) if sampler else sample_uniform_sphere(n, rng, size)
-        return int(np.count_nonzero(indicator(pts)))
+    def run(job):
+        batch, size = job
+        return draw(make_stream(seed, (batch,)), size)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            counts = list(ex.map(run, range(N_BATCHES)))
-    else:
-        counts = [run(b) for b in range(N_BATCHES)]
-    return sum(counts), sum(sizes)
+            return list(ex.map(run, jobs))
+    return [run(job) for job in jobs]
+
+
+def mc_hit_fraction(indicator, n, samples, seed, threads=1):
+    """``(hits, total)`` of ``indicator``, which maps an (m, n+1) array of
+    uniform points on S^n to a boolean array."""
+    def draw(rng, size):
+        pts = sample_uniform_sphere(n, rng, size)
+        return int(np.count_nonzero(indicator(pts)))
+
+    return sum(mc_map(draw, samples, seed, threads)), int(samples)
 
 
 def _fraction_estimate(hits, total, scale, seed, quantity):

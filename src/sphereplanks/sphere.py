@@ -14,10 +14,6 @@ from scipy.integrate import quad
 
 UNIT_TOL = 1e-12
 
-#: Number of sample batches every Monte Carlo estimator is split into.
-#: Fixed so that results do not depend on how many workers execute them.
-N_BATCHES = 64
-
 
 def sphere_area(n):
     """Total surface measure sigma_n of S^n, by the Gamma-function formula."""
@@ -87,9 +83,8 @@ class SphericalCap:
 
 
 # ---------------------------------------------------------------------------
-# Seeded streams.  Philox is counter-based; substreams are derived from the
-# seed with distinct spawn keys, so a batch's draws depend only on (seed,
-# batch index), never on which worker ran it.
+# Seeded streams.  Philox is counter-based, so a substream's draws depend
+# only on (seed, spawn key), never on which worker ran it.
 # ---------------------------------------------------------------------------
 
 def make_stream(seed, spawn_key=()):

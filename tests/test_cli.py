@@ -39,6 +39,16 @@ def lune_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def hemi_fan_file(tmp_path):
+    """Widened hemisphere fan: r(B) = pi/2, so the antipodal route runs."""
+    path = tmp_path / "hemi.json"
+    code, _ = run_cli(["gen-fan", "--dim", "2", "--gaps", "pi/3,pi/3,pi/3",
+                       "--widen", "0.05", "--hemisphere", "--out", str(path)])
+    assert code == 0
+    return str(path)
+
+
 def test_console_entry_point():
     out = subprocess.run([sys.executable, "-m", "sphereplanks", "--help"],
                          capture_output=True, text=True)
@@ -152,16 +162,50 @@ def test_verify_prop_and_linhart():
     assert len(data["vertices"]) == 3
 
 
-def test_reports_are_byte_identical_across_threads(octant_file, tmp_path):
+@pytest.mark.parametrize("argv", [
+    ["verify-thm2", "{octant}", "--samples", "100000"],
+    ["verify-thm1", "{hemi_fan}", "--samples", "20000"],
+    ["verify-linhart", "--simplex", "random", "--dim", "3",
+     "--samples", "50000"],
+], ids=["verify-thm2", "verify-thm1-hemisphere", "verify-linhart-random-S3"])
+def test_reports_are_byte_identical_across_threads(argv, octant_file,
+                                                   hemi_fan_file, tmp_path):
+    argv = [a.format(octant=octant_file, hemi_fan=hemi_fan_file)
+            for a in argv]
     outs = []
     for threads in ("1", "4"):
         p = tmp_path / f"rep{threads}.json"
-        code, _ = run_cli(["verify-thm2", octant_file, "--samples", "100000",
-                           "--seed", "11", "--threads", threads,
-                           "--out", str(p)])
+        code, _ = run_cli(argv + ["--seed", "11", "--threads", threads,
+                                  "--out", str(p)])
         assert code == 0
         outs.append(p.read_bytes())
     assert outs[0] == outs[1]
+    if argv[0] == "verify-thm1":
+        assert "skipped" not in json.loads(outs[0])["antipodal"]
+
+
+@pytest.mark.parametrize("verb", ["volume", "meanwidth", "verify-thm1",
+                                  "verify-linhart"])
+def test_zero_samples_exit_2(verb, octant_file, hemi_fan_file, capsys):
+    target = {"volume": [octant_file], "meanwidth": [octant_file],
+              "verify-thm1": [hemi_fan_file],
+              "verify-linhart": ["--simplex", "segment"]}[verb]
+    assert main([verb, *target, "--samples", "0"]) == 2
+    assert "samples must be >= 1" in capsys.readouterr().err
+
+
+def test_seed_env_is_read_on_every_call(octant_file, monkeypatch):
+    argv = ["volume", octant_file, "--samples", "1000"]
+    monkeypatch.setenv("SPHERE_PLANKS_SEED", "5")
+    _, first = run_cli(argv)
+    monkeypatch.setenv("SPHERE_PLANKS_SEED", "6")
+    _, second = run_cli(argv)
+    assert json.loads(first)["seed"] == 5
+    assert json.loads(second)["seed"] == 6
+    assert second == run_cli(argv + ["--seed", "6"])[1]
+    monkeypatch.setenv("SPHERE_PLANKS_SEED", "abc")
+    assert main(argv) == 2
+    assert run_cli(argv + ["--seed", "6"]) == (0, second)
 
 
 def test_csv_format(octant_file):

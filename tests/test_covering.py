@@ -73,6 +73,22 @@ def test_deleted_lune_breaks_cover():
         assert not any(contains(b, np.array(wpt)) for b in broken.bodies)
 
 
+def test_covering_report_is_thread_invariant():
+    inst = make_lune_fan(2, _angles(*[math.pi / 2] * 4))
+    broken = CoveringInstance(B=inst.B, bodies=inst.bodies[:-1])
+    reps = [check_covering(broken, samples=20_000, seed=3, threads=t)
+            for t in (1, 3)]
+    assert reps[0] == reps[1]
+    assert reps[0].slack < 0
+
+
+def test_check_covering_rejects_zero_samples():
+    inst = make_lune_fan(2, _angles(*[math.pi / 2] * 4))
+    gapped = CoveringInstance(B=inst.B, bodies=inst.bodies[:-1])
+    with pytest.raises(ValueError, match="samples"):
+        check_covering(gapped, samples=0)
+
+
 def test_verify_thm1_tight_fan():
     inst = make_lune_fan(3, _angles(*[math.pi / 3] * 6))
     rep = verify_thm1(inst, samples=50_000, seed=2)

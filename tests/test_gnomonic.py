@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from sphereplanks import (constant_weight, cumulative_F, frame_at,
-                          hyperplane_meets, hyperplane_param, make_stream,
-                          octant_body, project_body, project_point,
-                          random_body, sample_uniform_sphere,
-                          spherical_weight, support_function, tabulated_weight,
-                          uf, unproject_point)
+from sphereplanks import (constant_weight, frame_at, hyperplane_meets,
+                          hyperplane_param, make_stream, octant_body,
+                          project_body, project_point, random_body,
+                          sample_uniform_sphere, spherical_weight,
+                          support_function, tabulated_weight, uf,
+                          unproject_point)
 from sphereplanks.bodies import BodyError
 from sphereplanks.gnomonic import (EuclideanPolytope, circumcenter_frame,
                                    validate_weight)
@@ -151,7 +151,7 @@ def test_spherical_weight_generic_dimension():
 
 def test_constant_weight():
     w = constant_weight(2.0)
-    assert float(cumulative_F(w, 3.0)) == 6.0
+    assert float(w.F(3.0)) == 6.0
     with pytest.raises(ValueError):
         constant_weight(0.0)
 
@@ -171,11 +171,6 @@ def test_tabulated_weight_validation():
         tabulated_weight([0.0, 1.0], [1.0, -1.0])
     with pytest.raises(ValueError):
         tabulated_weight([0.5, 1.0], [1.0, 1.0])
-
-
-def test_cumulative_F_rejects_negative():
-    with pytest.raises(ValueError):
-        cumulative_F(constant_weight(), -1.0)
 
 
 def test_change_of_variables_identity():
