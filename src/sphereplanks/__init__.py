@@ -26,7 +26,6 @@ from .measure import (Estimate, VerificationReport, check_identity_2_1,
                       mean_width_mc, verify_thm2, volume_mc)
 from .randgen import cap_polytope, octant_body, random_body, random_lune
 from .sphere import (SphericalCap, cap_area, geodesic_distance, make_stream,
-                     sample_uniform_cap, sample_uniform_sphere, sphere_area,
-                     substreams)
+                     sample_uniform_cap, sample_uniform_sphere, sphere_area)
 
 __version__ = "0.1.0"

@@ -36,14 +36,10 @@ class Lune:
     """Two-halfspace body; the equality case of both main theorems.
 
     ``angle`` is the interior dihedral angle in (0, pi]; the inradius of a
-    lune is exactly ``angle / 2``.  The ridge basis spans an (n-1)-subspace
-    of u1-perp intersect u2-perp (any such subspace when u1 == u2).
+    lune is exactly ``angle / 2``.  The poles live in the body's H-rep.
     """
 
-    u1: np.ndarray
-    u2: np.ndarray
     angle: float
-    ridge_basis: np.ndarray
 
     @property
     def inradius(self):
@@ -53,8 +49,8 @@ class Lune:
 @dataclass(frozen=True)
 class ConvexBody:
     n: int
-    h_normals: np.ndarray | None = None
-    v_generators: np.ndarray | None = None
+    h_normals: np.ndarray
+    v_generators: np.ndarray
     is_body: bool = True
     lune: Lune | None = None
     tag: str = ""
@@ -100,9 +96,9 @@ def make_body(n, h_normals=None, v_generators=None, lune=None, tag=""):
     H = _as_unit_rows(h_normals, d) if h_normals is not None else None
     V = _as_unit_rows(v_generators, d) if v_generators is not None else None
 
-    if H is not None and V is None:
+    if V is None:
         V = cone_generators(H)
-    elif V is not None and H is None:
+    elif H is None:
         # Facet normals of cone(V) generate its polar cone {u : Vu <= 0}.
         H = cone_generators(V)
 
@@ -128,8 +124,6 @@ def contains(body, x, tol=CONTAIN_TOL):
 
     ``x`` may be a single vector or an (m, n+1) batch.
     """
-    if body.h_normals is None:
-        raise BodyError("H-representation required")
     x = np.asarray(x, dtype=float)
     vals = x @ body.h_normals.T
     return np.all(vals <= tol, axis=-1)
@@ -141,8 +135,6 @@ def hyperplane_meets(body, u):
     Sign test on the generators: misses iff all generators lie strictly on
     one side of u-perp.  ``u`` may be a batch.
     """
-    if body.v_generators is None:
-        raise BodyError("V-representation required")
     if not body.is_body:
         raise BodyError("hyperplane_meets requires a body with interior")
     u = np.asarray(u, dtype=float)
@@ -170,8 +162,6 @@ def inradius(body):
     Solves max s s.t. <u_i, x> <= -s, |x| <= 1, which is the min-norm-point
     problem for conv{-u_i}; the optimizer has |x| = 1.
     """
-    if body.h_normals is None:
-        raise BodyError("H-representation required")
     if not body.is_body:
         raise BodyError("inradius is undefined for a set without interior")
     s, x = max_min_inner(-body.h_normals)
@@ -188,8 +178,6 @@ def circumradius(body):
     smallest cap containing the generators contains the body.  Bodies not
     contained in an open hemisphere get R = pi/2 with a flag.
     """
-    if body.v_generators is None:
-        raise BodyError("V-representation required")
     c, e = max_min_inner(body.v_generators)
     if e is None:
         return BodyMetrics(circumradius=math.pi / 2.0, circumcenter=None,
@@ -198,25 +186,13 @@ def circumradius(body):
                        circumcenter=e)
 
 
-def _ridge_basis(u1, u2, n):
-    d = n + 1
-    if np.linalg.norm(u1 - u2) <= 1e-12:
-        # Any (n-1)-subspace of u1-perp: deterministic Gram-Schmidt choice.
-        M = np.vstack([u1])
-    else:
-        M = np.vstack([u1, u2])
-    _, s, Vt = np.linalg.svd(M, full_matrices=True)
-    perp = Vt[M.shape[0]:]
-    return perp[: n - 1]
-
-
 def make_lune(n, u1, u2=None, tag="lune", angle=None):
     """Lune with facet poles u1, u2 (u2 = u1 gives a hemisphere).
 
-    Records the interior angle alpha = pi - dist(u1, u2) and the ridge
-    basis.  Callers that construct the poles from a known angle may pass
-    ``angle`` to keep it exact instead of recovering it through arccos.
-    Antipodal poles (empty interior) are rejected.
+    Records the interior angle alpha = pi - dist(u1, u2).  Callers that
+    construct the poles from a known angle may pass ``angle`` to keep it
+    exact instead of recovering it through arccos; a stated angle must
+    agree with the poles.  Antipodal poles (empty interior) are rejected.
     """
     u1 = unit_vector(u1, tol=1e-9)
     u2 = u1.copy() if u2 is None else unit_vector(u2, tol=1e-9)
@@ -227,19 +203,19 @@ def make_lune(n, u1, u2=None, tag="lune", angle=None):
         angle = math.pi - dist
     elif not abs(angle - (math.pi - dist)) <= 1e-7:  # also rejects NaN
         raise BodyError("stated lune angle disagrees with the poles")
-    lune = Lune(u1=u1, u2=u2, angle=angle, ridge_basis=_ridge_basis(u1, u2, n))
-    return make_body(n, h_normals=np.vstack([u1, u2]), lune=lune, tag=tag)
+    return make_body(n, h_normals=np.vstack([u1, u2]), lune=Lune(angle=angle),
+                     tag=tag)
 
 
-def make_lune_from_angle(n, angle, plane_basis, theta0=0.0, tag="lune"):
+def make_lune_from_angle(n, angle, plane, theta0=0.0, tag="lune"):
     """Lune of interior angle ``angle`` as an angular sector in a 2-plane.
 
-    ``plane_basis`` is an orthonormal pair (p, q) spanning the complement
-    of the ridge; the lune covers sector directions [theta0, theta0+angle].
+    ``plane`` is an orthonormal pair (p, q) spanning the complement of the
+    ridge; the lune covers sector directions [theta0, theta0+angle].
     """
     if not 0.0 < angle <= math.pi:
         raise BodyError(f"lune angle must lie in (0, pi], got {angle}")
-    p, q = (unit_vector(v, tol=1e-9) for v in plane_basis)
+    p, q = (unit_vector(v, tol=1e-9) for v in plane)
 
     def direction(t):
         return math.cos(t) * p + math.sin(t) * q
@@ -259,8 +235,7 @@ def intersect_with_hemisphere(body, cap):
     """
     if not isinstance(cap, SphericalCap) or abs(cap.radius - math.pi / 2.0) > 1e-12:
         raise BodyError("expected a cap of radius pi/2")
-    if body.v_generators is not None and np.max(
-            body.v_generators @ -cap.center) <= CONTAIN_TOL:
+    if np.max(body.v_generators @ -cap.center) <= CONTAIN_TOL:
         # Constraint is redundant: the body already lies in the hemisphere.
         return body
     H = np.vstack([body.h_normals, -cap.center])

@@ -81,7 +81,10 @@ def _jsonable(obj):
 
 
 def _mc(args):
-    """The Monte Carlo options every sampling verb passes through."""
+    """The Monte Carlo options every sampling verb passes through; a set
+    sample count must be positive even where the verb ends up exact."""
+    if args.samples is not None and args.samples < 1:
+        raise ValueError(f"samples must be >= 1, got {args.samples}")
     return {"samples": args.samples, "seed": args.seed,
             "threads": args.threads}
 
@@ -115,9 +118,6 @@ def cmd_gen_body(args):
                            if args.vertices else None)
     payload = files.body_to_dict(body)
     payload["seed"] = args.seed
-    if args.out:
-        files.save_body(body, args.out)
-        return 0, {"written": args.out, **payload}
     return 0, payload
 
 
@@ -131,9 +131,6 @@ def cmd_gen_fan(args):
         inst = cov.make_lune_fan(args.dim, angles, widen=widen)
     payload = files.fan_to_dict(inst)
     payload["seed"] = args.seed
-    if args.out:
-        files.save_fan(inst, args.out)
-        return 0, {"written": args.out, **payload}
     return 0, payload
 
 
@@ -159,9 +156,6 @@ def cmd_polar(args):
     pol = bd.polar(body)
     payload = files.body_to_dict(pol)
     payload["is_body"] = pol.is_body
-    if args.out:
-        files.save_body(pol, args.out)
-        return 0, {"written": args.out, **payload}
     return 0, payload
 
 

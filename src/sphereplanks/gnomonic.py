@@ -112,8 +112,6 @@ def unproject_point(frame, y):
 
 def project_body(frame, body):
     """Project the generators; the image polytope is their convex hull."""
-    if body.v_generators is None:
-        raise bd.BodyError("V-representation required")
     if np.any(body.v_generators @ frame.e <= EQUATOR_TOL):
         raise bd.BodyError("body is not strictly inside the frame hemisphere")
     verts = project_point(frame, body.v_generators)

@@ -260,24 +260,15 @@ def uf_via_images(s, w, samples=200_000, seed=0, threads=1):
 # K(B) instances and the minimality search
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class KBInstance:
-    """Compact convex set (as a polytope) whose smallest enclosing ball is
-    the centered ball of radius R."""
-
-    R: float
-    poly: EuclideanPolytope
-
-
 def make_kb_instance(R, vertices, tol=1e-8):
+    """Member of K(B), as the polytope conv(vertices), whose smallest
+    enclosing ball must be the centered ball of radius R."""
     V = np.atleast_2d(np.asarray(vertices, dtype=float))
     c, r = smallest_enclosing_ball(V)
     if np.linalg.norm(c) > tol or abs(r - R) > tol:
         raise ValueError("smallest enclosing ball of the vertices is not B")
     origin = np.linalg.norm(min_norm_point(V)) <= 1e-9
-    return KBInstance(R=float(R),
-                      poly=EuclideanPolytope(n=V.shape[1], vertices=V,
-                                             contains_origin=origin))
+    return EuclideanPolytope(n=V.shape[1], vertices=V, contains_origin=origin)
 
 
 def random_kb_instance(R, n, rng, max_points=8, retries=100):
@@ -318,8 +309,8 @@ def min_uf_search(R, w, n=2, trials=50, samples=None, seed=0, threads=1):
     min_gap = math.inf
     rng = make_stream(seed, (1,))
     for t in range(trials):
-        inst = random_kb_instance(R, n, rng)
-        est = uf(inst.poly, w, samples=samples, seed=seed + 2 + t,
+        poly = random_kb_instance(R, n, rng)
+        est = uf(poly, w, samples=samples, seed=seed + 2 + t,
                  threads=threads)
         values.append(est.value)
         gap = est.value - (seg_est.value

@@ -3,7 +3,7 @@ draws; estimators for spherical volume and mean width; verifiers for the
 polarity identity and the volume-inradius bound.
 
 The engine splits the sample budget over a fixed number of Philox
-substreams, so results are bit-reproducible for a given (seed, samples)
+streams, so results are bit-reproducible for a given (seed, samples)
 at any thread count.  Acceptance everywhere is the 3-sigma rule.
 """
 
@@ -76,8 +76,7 @@ class VerificationReport:
 def body_digest(body, *extra):
     h = hashlib.sha256()
     for arr in (body.h_normals, body.v_generators):
-        if arr is not None:
-            h.update(np.ascontiguousarray(arr).tobytes())
+        h.update(np.ascontiguousarray(arr).tobytes())
     for item in extra:
         h.update(repr(item).encode())
     return h.hexdigest()[:16]

@@ -83,7 +83,7 @@ class SphericalCap:
 
 
 # ---------------------------------------------------------------------------
-# Seeded streams.  Philox is counter-based, so a substream's draws depend
+# Seeded streams.  Philox is counter-based, so a stream's draws depend
 # only on (seed, spawn key), never on which worker ran it.
 # ---------------------------------------------------------------------------
 
@@ -91,11 +91,6 @@ def make_stream(seed, spawn_key=()):
     """Seeded counter-based random stream (Philox)."""
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(spawn_key))
     return np.random.Generator(np.random.Philox(ss))
-
-
-def substreams(seed, count):
-    """``count`` independent streams derived deterministically from ``seed``."""
-    return [make_stream(seed, (i,)) for i in range(count)]
 
 
 def sample_uniform_sphere(n, rng, size=None):
@@ -121,8 +116,11 @@ def sample_uniform_cap(cap, rng, size=None):
     """Uniform points on a cap, by rejection from the full sphere.
 
     Efficient for the large caps (radius >= pi/2) this package works with.
-    A zero-radius cap returns the center deterministically.
+    A full-sphere cap is sampled directly, and a zero-radius cap returns
+    the center deterministically.
     """
+    if cap.radius >= math.pi:
+        return sample_uniform_sphere(cap.n, rng, size)
     m = 1 if size is None else int(size)
     if cap.radius == 0.0:
         pts = np.tile(cap.center, (m, 1))

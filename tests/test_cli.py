@@ -184,14 +184,45 @@ def test_reports_are_byte_identical_across_threads(argv, octant_file,
         assert "skipped" not in json.loads(outs[0])["antipodal"]
 
 
-@pytest.mark.parametrize("verb", ["volume", "meanwidth", "verify-thm1",
-                                  "verify-linhart"])
-def test_zero_samples_exit_2(verb, octant_file, hemi_fan_file, capsys):
-    target = {"volume": [octant_file], "meanwidth": [octant_file],
-              "verify-thm1": [hemi_fan_file],
-              "verify-linhart": ["--simplex", "segment"]}[verb]
-    assert main([verb, *target, "--samples", "0"]) == 2
+@pytest.fixture
+def lune_polar_file(lune_file, tmp_path):
+    """Polar of a lune: a set without interior, whose volume is exactly 0."""
+    path = tmp_path / "lune-polar.json"
+    assert run_cli(["polar", lune_file, "--out", str(path)])[0] == 0
+    assert json.loads(path.read_text())["is_body"] is False
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["volume", "{octant}"], ["meanwidth", "{octant}"],
+    ["verify-thm1", "{hemi_fan}"],
+    ["verify-linhart", "--simplex", "segment"],
+    # Exact verbs (quadrature, or measure zero) refuse 0 samples too.
+    ["uf", "{octant}"], ["verify-prop", "--dim", "2"],
+    ["volume", "{lune_polar}"],
+], ids=["volume", "meanwidth", "verify-thm1", "verify-linhart",
+        "uf-quadrature", "verify-prop-quadrature", "volume-lower-dimensional"])
+def test_zero_samples_exit_2(argv, octant_file, hemi_fan_file,
+                             lune_polar_file, capsys):
+    argv = [a.format(octant=octant_file, hemi_fan=hemi_fan_file,
+                     lune_polar=lune_polar_file) for a in argv]
+    assert main([*argv, "--samples", "0"]) == 2
     assert "samples must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-body", "--kind", "cap", "--dim", "3", "--vertices", "12"],
+    ["gen-fan", "--dim", "2", "--gaps", "pi/2,pi/2,pi/2,pi/2",
+     "--widen", "0.1"],
+    ["polar", "{lune}"],
+], ids=["gen-body", "gen-fan", "polar"])
+def test_out_file_equals_stdout(argv, lune_file, tmp_path):
+    argv = [a.format(lune=lune_file) for a in argv] + ["--seed", "3"]
+    code, stdout = run_cli(argv)
+    assert code == 0
+    path = tmp_path / "out.json"
+    assert run_cli(argv + ["--out", str(path)]) == (0, "")
+    assert path.read_text() == stdout
 
 
 def test_seed_env_is_read_on_every_call(octant_file, monkeypatch):

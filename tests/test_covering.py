@@ -8,7 +8,7 @@ import pytest
 from sphereplanks import (CoveringError, check_covering, make_hemisphere_fan,
                           make_lune_fan, verify_antipodal_argument,
                           verify_thm1)
-from sphereplanks.covering import CoveringInstance, fan_covering_certificate
+from sphereplanks.covering import CoveringInstance
 from sphereplanks.sphere import SphericalCap
 
 
@@ -57,7 +57,6 @@ def test_fan_covers_sphere():
     rep = check_covering(inst, samples=50_000, seed=0)
     assert rep.passed
     assert rep.details["witnesses"] == []
-    assert bool(rep.details["fan_certificate"])
 
 
 def test_deleted_lune_breaks_cover():
@@ -163,9 +162,3 @@ def test_antipodal_route_hemisphere():
     rep = verify_antipodal_argument(inst, samples=50_000, seed=9)
     assert rep.passed
     assert rep.details["uncovered"] == 0
-
-
-def test_fan_certificate_only_for_fans():
-    inst = make_lune_fan(2, _angles(*[math.pi] * 2))
-    stripped = CoveringInstance(B=inst.B, bodies=inst.bodies, metadata={})
-    assert fan_covering_certificate(stripped) is None

@@ -228,7 +228,7 @@ def test_random_kb_instances_are_valid():
     rng = make_stream(16)
     for _ in range(20):
         inst = random_kb_instance(1.0, 2, rng)
-        c, r = smallest_enclosing_ball(inst.poly.vertices)
+        c, r = smallest_enclosing_ball(inst.vertices)
         assert np.linalg.norm(c) < 1e-7 and abs(r - 1.0) < 1e-7
 
 
