@@ -122,11 +122,12 @@ def make_body(n, h_normals=None, v_generators=None, lune=None, tag=""):
 def contains(body, x, tol=CONTAIN_TOL):
     """Membership test <u_i, x> <= tol for all facet poles.
 
-    ``x`` may be a single vector or an (m, n+1) batch.
+    ``x`` may be a single vector or an (m, n+1) batch.  The products are
+    taken facet-major, shape (k, m), so the test reduces over the long
+    axis.
     """
     x = np.asarray(x, dtype=float)
-    vals = x @ body.h_normals.T
-    return np.all(vals <= tol, axis=-1)
+    return np.max(body.h_normals @ x.T, axis=0) <= tol
 
 
 def hyperplane_meets(body, u):
@@ -138,10 +139,8 @@ def hyperplane_meets(body, u):
     if not body.is_body:
         raise BodyError("hyperplane_meets requires a body with interior")
     u = np.asarray(u, dtype=float)
-    vals = u @ body.v_generators.T
-    pos = np.all(vals > 0.0, axis=-1)
-    neg = np.all(vals < 0.0, axis=-1)
-    return ~(pos | neg)
+    vals = body.v_generators @ u.T  # generator-major, (k, m)
+    return (np.min(vals, axis=0) <= 0.0) & (np.max(vals, axis=0) >= 0.0)
 
 
 def polar(body):

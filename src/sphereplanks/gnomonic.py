@@ -244,9 +244,9 @@ def support_function(poly, u0):
 
 
 def _uf_integrand(poly, w, dirs):
-    dots = dirs @ poly.vertices.T
-    upper = np.maximum(dots.max(axis=-1), 0.0)
-    lower = np.clip(dots.min(axis=-1), 0.0, upper)
+    dots = poly.vertices @ dirs.T  # vertex-major, (k, m)
+    upper = np.maximum(dots.max(axis=0), 0.0)
+    lower = np.clip(dots.min(axis=0), 0.0, upper)
     return w.F(upper) - w.F(lower)
 
 
@@ -337,5 +337,5 @@ def check_projection_consistency(body, w=None, samples=None, seed=0, threads=1):
         passed=slack >= -tol,
         inputs_digest=body_digest(body, samples, seed),
         details={"seed": seed, "samples": sphere_side.samples,
-                 "weight": w.kind},
+                 "flat_samples": flat_side.samples, "weight": w.kind},
     )

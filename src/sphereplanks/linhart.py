@@ -153,7 +153,7 @@ def normal_cone_membership(s, j, u, tol=1e-12):
         raise IndexError(f"vertex index {j} out of range")
     u = np.asarray(u, dtype=float)
     diffs = s.vertices - s.vertices[j]
-    return np.all(u @ diffs.T <= tol, axis=-1)
+    return np.max(diffs @ u.T, axis=0) <= tol
 
 
 # ---------------------------------------------------------------------------

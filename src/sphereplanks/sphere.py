@@ -13,6 +13,8 @@ import numpy as np
 from scipy.integrate import quad
 
 UNIT_TOL = 1e-12
+#: Most sphere draws one rejection round of ``sample_uniform_cap`` makes.
+CAP_ROUND_DRAWS = 1 << 20
 
 
 def sphere_area(n):
@@ -103,13 +105,20 @@ def sample_uniform_sphere(n, rng, size=None):
         raise ValueError(f"dimension must be >= 1, got {n}")
     m = 1 if size is None else int(size)
     g = rng.standard_normal((m, n + 1))
-    # Resample the (measure-zero) zero draws rather than dividing by 0.
-    bad = np.linalg.norm(g, axis=1) == 0.0
-    while np.any(bad):
+    while True:
+        # Row sums of squares column by column: the additions, in order,
+        # that np.linalg.norm(g, axis=1) makes, without its reduction over
+        # the short last axis.
+        sq = g[:, 0] * g[:, 0]
+        for j in range(1, n + 1):
+            sq += g[:, j] * g[:, j]
+        # Resample the (measure-zero) zero draws rather than dividing by 0.
+        bad = sq == 0.0
+        if not np.any(bad):
+            break
         g[bad] = rng.standard_normal((int(bad.sum()), n + 1))
-        bad = np.linalg.norm(g, axis=1) == 0.0
-    pts = normalize(g)
-    return pts[0] if size is None else pts
+    g /= np.sqrt(sq)[:, None]
+    return g[0] if size is None else g
 
 
 def sample_uniform_cap(cap, rng, size=None):
@@ -127,10 +136,17 @@ def sample_uniform_cap(cap, rng, size=None):
         return pts[0] if size is None else pts
     n = cap.n
     cos_r = math.cos(cap.radius)
+    frac = cap_area(n, cap.radius) / sphere_area(n)
     out = np.empty((m, n + 1))
     have = 0
     while have < m:
-        chunk = max(4 * (m - have), 128)
+        # 10% more draws than the cap's area fraction needs, so one round
+        # usually suffices, and at most CAP_ROUND_DRAWS per round.  Normals
+        # do not depend on how draws are split into calls, so the points
+        # returned do not depend on these sizes.
+        want = 1.1 * (m - have)
+        chunk = CAP_ROUND_DRAWS if want > frac * CAP_ROUND_DRAWS \
+            else max(math.ceil(want / frac), 128)
         draws = sample_uniform_sphere(n, rng, size=chunk)
         keep = draws @ cap.center >= cos_r - UNIT_TOL
         kept = draws[keep]

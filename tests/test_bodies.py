@@ -11,7 +11,9 @@ from sphereplanks import (BodyError, circumradius, contains, geodesic_distance,
                           hyperplane_meets, inradius,
                           intersect_with_hemisphere, make_body, make_lune,
                           make_lune_from_angle, make_stream, octant_body,
-                          polar, random_body, random_lune, sample_uniform_cap)
+                          polar, random_body, random_lune, sample_uniform_cap,
+                          sample_uniform_sphere)
+from sphereplanks.bodies import CONTAIN_TOL
 from sphereplanks.sphere import SphericalCap
 
 OCTANT_INRADIUS = math.asin(1.0 / math.sqrt(3.0))
@@ -80,6 +82,55 @@ def test_hyperplane_meets_octant():
     u_miss = np.ones(3) / math.sqrt(3.0)
     assert hyperplane_meets(body, u_hit)
     assert not hyperplane_meets(body, u_miss)
+
+
+def _all_reduce_contains(body, x, tol=CONTAIN_TOL):
+    """Reference: the point-major all-reduce formula."""
+    return np.all(np.asarray(x) @ body.h_normals.T <= tol, axis=-1)
+
+
+def _all_reduce_meets(body, u):
+    """Reference: u-perp misses iff every generator is on one strict side."""
+    vals = np.asarray(u) @ body.v_generators.T
+    return ~(np.all(vals > 0.0, axis=-1) | np.all(vals < 0.0, axis=-1))
+
+
+def _on_and_beside(g, normals, tol):
+    """Each row of ``g`` moved onto each normal's hyperplane, then +-tol
+    off it along the normal."""
+    out = []
+    for u in normals:
+        on = g - np.outer(g @ u, u) / (u @ u)
+        out += [on, on + tol * u, on - tol * u]
+    return np.vstack(out)
+
+
+# Coordinates that give exact products with the octant's poles and axes.
+_EXACT = st.sampled_from((0.0, CONTAIN_TOL, -CONTAIN_TOL, 1.0, -1.0))
+
+
+@given(n=st.integers(2, 4), kind=st.sampled_from(("octant", "lune", "random")),
+       seed=st.integers(0, 2 ** 16), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_cone_tests_match_all_reduce_formulas(n, kind, seed, data):
+    rng = make_stream(seed)
+    body = {"octant": lambda: octant_body(n), "lune": lambda: random_lune(n, rng),
+            "random": lambda: random_body(n, rng)}[kind]()
+    rows = data.draw(st.lists(
+        st.lists(st.one_of(_EXACT, st.floats(-1.0, 1.0)), min_size=n + 1,
+                 max_size=n + 1), min_size=1, max_size=8))
+    g = sample_uniform_sphere(n, rng, size=4)
+    pts = np.vstack([np.array(rows), sample_uniform_sphere(n, rng, size=30),
+                     _on_and_beside(g, body.h_normals, CONTAIN_TOL)])
+    dirs = np.vstack([np.array(rows), sample_uniform_sphere(n, rng, size=30),
+                      _on_and_beside(g, body.v_generators, CONTAIN_TOL)])
+    assert np.array_equal(contains(body, pts), _all_reduce_contains(body, pts))
+    assert np.array_equal(hyperplane_meets(body, dirs),
+                          _all_reduce_meets(body, dirs))
+    for x in pts:
+        assert contains(body, x) == _all_reduce_contains(body, x)
+    for u in dirs:
+        assert hyperplane_meets(body, u) == _all_reduce_meets(body, u)
 
 
 # ---------------------------------------------------------------------------

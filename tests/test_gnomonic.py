@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from sphereplanks import (constant_weight, frame_at, hyperplane_meets,
+from sphereplanks import (check_projection_consistency, constant_weight,
+                          frame_at, hyperplane_meets,
                           hyperplane_param, make_stream, octant_body,
                           project_body, project_point, random_body,
                           sample_uniform_sphere, spherical_weight,
@@ -15,6 +16,7 @@ from sphereplanks import (constant_weight, frame_at, hyperplane_meets,
 from sphereplanks.bodies import BodyError
 from sphereplanks.gnomonic import (EuclideanPolytope, circumcenter_frame,
                                    validate_weight)
+from sphereplanks.measure import default_samples
 from sphereplanks.randgen import cap_polytope, random_lune
 
 
@@ -262,3 +264,13 @@ def test_uf_mc_reproducible():
     a = uf(poly, w, samples=100_000, seed=7, threads=1)
     b = uf(poly, w, samples=100_000, seed=7, threads=4)
     assert a.value == b.value and a.stderr == b.stderr
+
+
+def test_projection_report_states_both_sample_counts():
+    # At default samples the sphere side of an S^4 body draws
+    # default_samples(4) points, while U_f keeps its own 1e6 default.
+    rep = check_projection_consistency(octant_body(4), seed=3)
+    assert rep.passed
+    d = rep.to_dict()
+    assert d["samples"] == default_samples(4) == 4_000_000
+    assert d["flat_samples"] == 1_000_000

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from sphereplanks import (check_7_1, constant_C, constant_weight,
@@ -104,6 +106,36 @@ def test_normal_cones_partition_directions():
     # measure-zero boundaries.
     assert np.all(counts >= 1)
     assert np.mean(counts > 1) < 1e-3
+
+
+@given(n=st.integers(2, 4), seed=st.integers(0, 2 ** 16),
+       segment=st.booleans(), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_normal_cone_membership_matches_all_reduce_formula(n, seed, segment,
+                                                           data):
+    rng = make_stream(seed)
+    # The segment of radius 1/2 has vertex differences +-e_1, so exact
+    # coordinates give exact products.
+    s = segment_simplex(0.5, n) if segment else random_simplex(1.0, n, rng)
+    tol = 1e-12
+    rows = data.draw(st.lists(st.lists(
+        st.one_of(st.sampled_from((0.0, tol, -tol, 1.0, -1.0)),
+                  st.floats(-1.0, 1.0)), min_size=n, max_size=n),
+        min_size=1, max_size=8))
+    g = sample_uniform_sphere(n - 1, rng, size=4)
+    for j in range(s.k + 1):
+        diffs = s.vertices - s.vertices[j]
+        beside = [np.array(rows), sample_uniform_sphere(n - 1, rng, size=30)]
+        for d in diffs[np.any(diffs != 0.0, axis=1)]:
+            # Directions on the cone's boundary plane, and +-tol off it.
+            on = g - np.outer(g @ d, d) / (d @ d)
+            beside += [on, on + tol * d / (d @ d), on - tol * d / (d @ d)]
+        u = np.vstack(beside)
+        ref = np.all(u @ diffs.T <= tol, axis=-1)
+        assert np.array_equal(normal_cone_membership(s, j, u), ref)
+        for x in u:
+            assert normal_cone_membership(s, j, x) == \
+                np.all(x @ diffs.T <= tol)
 
 
 def test_spherical_image_inside_half_sphere():

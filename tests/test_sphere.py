@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from sphereplanks.sphere import (SphericalCap, cap_area, geodesic_distance,
-                                 make_stream, sample_uniform_cap,
-                                 sample_uniform_sphere, sphere_area)
+from sphereplanks.sphere import (CAP_ROUND_DRAWS, UNIT_TOL, SphericalCap,
+                                 cap_area, geodesic_distance, make_stream,
+                                 sample_uniform_cap, sample_uniform_sphere,
+                                 sphere_area)
 
 
 def test_sphere_area_closed_forms():
@@ -118,3 +119,83 @@ def test_streams_are_reproducible_and_independent():
     x1 = sample_uniform_sphere(2, make_stream(7, (0,)), size=10)
     x2 = sample_uniform_sphere(2, make_stream(7, (1,)), size=10)
     assert not np.array_equal(x1, x2)
+
+
+class _CountingRng:
+    """Generator wrapper that counts the Gaussian rows drawn through it."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.rows = 0
+        self.largest = 0
+
+    def standard_normal(self, shape):
+        self.rows += shape[0]
+        self.largest = max(self.largest, shape[0])
+        return self.rng.standard_normal(shape)
+
+
+class _ZeroFirstRowRng(_CountingRng):
+    """Returns ``zero_draws`` all-zero first rows before the real stream."""
+
+    def __init__(self, rng, zero_draws):
+        super().__init__(rng)
+        self.zero_draws = zero_draws
+
+    def standard_normal(self, shape):
+        g = super().standard_normal(shape)
+        if self.zero_draws:
+            self.zero_draws -= 1
+            g[0] = 0.0
+        return g
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_uniform_sphere_is_bitwise_the_norm_reference(n):
+    # Reference: the Gaussian rows divided by their np.linalg.norm.
+    g = make_stream(21, (n,)).standard_normal((10_000, n + 1))
+    ref = g / np.linalg.norm(g, axis=1, keepdims=True)
+    pts = sample_uniform_sphere(n, make_stream(21, (n,)), size=10_000)
+    assert np.array_equal(pts.view(np.uint64), ref.view(np.uint64))
+    one = sample_uniform_sphere(n, make_stream(21, (n,)))
+    assert one.shape == (n + 1,)
+    assert np.array_equal(one.view(np.uint64), ref[0].view(np.uint64))
+
+
+@pytest.mark.parametrize("zero_draws", [1, 2])
+def test_uniform_sphere_resamples_zero_rows(zero_draws):
+    rng = _ZeroFirstRowRng(make_stream(8), zero_draws)
+    pts = sample_uniform_sphere(2, rng, size=5)
+    # One 5-row draw, then one single-row redraw per zero row.
+    assert rng.rows == 5 + zero_draws
+    g = make_stream(8).standard_normal((rng.rows, 3))
+    g[0] = g[-1]
+    assert np.all(np.isfinite(pts))
+    assert np.array_equal(pts, g[:5] / np.linalg.norm(g[:5], axis=1,
+                                                      keepdims=True))
+
+
+@pytest.mark.parametrize("n,radius,m", [
+    (2, math.pi / 2, 5_000), (3, math.pi / 2, 5_000), (4, math.pi / 2, 5_000),
+    (2, 1.0, 5_000), (3, 1.0, 5_000), (4, 1.0, 5_000),
+    # Needs about 1.6e6 draws: more than one round of CAP_ROUND_DRAWS.
+    (2, 0.05, 1_000),
+])
+def test_cap_sampler_keeps_first_accepted_draws(n, radius, m):
+    center = np.zeros(n + 1)
+    center[-1] = 1.0
+    cap = SphericalCap(center=center, radius=radius)
+    rng = _CountingRng(make_stream(9))
+    pts = sample_uniform_cap(cap, rng, size=m)
+    # Normals do not depend on how the draws are split into calls: the
+    # result is the first m in-cap points of one long draw.
+    draws = sample_uniform_sphere(n, make_stream(9), size=rng.rows)
+    kept = draws[draws @ center >= math.cos(radius) - UNIT_TOL]
+    assert np.array_equal(pts, kept[:m])
+    # Draws are sized from the cap's area fraction, not 4 per point.
+    frac = cap_area(n, radius) / sphere_area(n)
+    bound = 1.25 * m / frac
+    if bound > CAP_ROUND_DRAWS:  # the last full round may overshoot
+        bound += CAP_ROUND_DRAWS
+    assert rng.rows <= bound
+    assert rng.largest <= CAP_ROUND_DRAWS
