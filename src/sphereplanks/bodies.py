@@ -55,10 +55,6 @@ class ConvexBody:
     lune: Lune | None = None
     tag: str = ""
 
-    @property
-    def dim(self):
-        return self.n + 1
-
 
 @dataclass(frozen=True)
 class BodyMetrics:
@@ -168,6 +164,11 @@ def inradius(body):
         raise BodyError("infeasible interior (degenerate body)")
     r = math.asin(min(1.0, s))
     return BodyMetrics(inradius=r, incenter=x)
+
+
+def inradius_value(body):
+    """The inradius: exact angle arithmetic for a lune, else the solver."""
+    return inradius(body).inradius if body.lune is None else body.lune.inradius
 
 
 def circumradius(body):

@@ -54,7 +54,7 @@ def _estimate_dict(est):
 
 
 def _emit(payload, args):
-    if getattr(args, "format", "json") == "csv":
+    if args.format == "csv":
         flat = {k: v for k, v in payload.items()
                 if isinstance(v, (int, float, bool, str))}
         keys = sorted(flat)
@@ -64,9 +64,8 @@ def _emit(payload, args):
     else:
         text = json.dumps(payload, sort_keys=True, indent=2,
                           default=_jsonable) + "\n"
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -91,8 +90,8 @@ def _mc(args):
 
 def _report_payload(report, args):
     out = report.to_dict()
-    out.setdefault("seed", getattr(args, "seed", None))
-    out.setdefault("samples", getattr(args, "samples", None))
+    out.setdefault("seed", args.seed)
+    out.setdefault("samples", args.samples)
     return out
 
 

@@ -102,7 +102,7 @@ def _affine_min_weights(S):
     return sol[:k]
 
 
-def max_min_inner(points, tol=FEAS_TOL):
+def max_min_inner(points):
     """Solve max_{|e| <= 1} min_j <p_j, e>.
 
     Returns ``(value, e)``.  The value equals the norm of the min-norm point
@@ -111,7 +111,7 @@ def max_min_inner(points, tol=FEAS_TOL):
     """
     p = min_norm_point(points)
     v = float(np.linalg.norm(p))
-    if v <= tol:
+    if v <= FEAS_TOL:
         return 0.0, None
     return v, p / v
 
@@ -138,7 +138,7 @@ def dedup_rows(rows, tol=DEDUP_TOL):
     return X[keep]
 
 
-def cone_generators(normals, tol=FEAS_TOL):
+def cone_generators(normals):
     """Generators of the cone C = {x : <a_i, x> <= 0 for all rows a_i}.
 
     Returns unit vectors: a basis of the lineality space of C with both
@@ -161,7 +161,7 @@ def cone_generators(normals, tol=FEAS_TOL):
 
     # Lineality space L = null(A); the pointed part lives in L-perp.
     _, s, Vt = np.linalg.svd(A, full_matrices=True)
-    rank = int(np.sum(s > tol * max(1.0, s[0])))
+    rank = int(np.sum(s > FEAS_TOL * max(1.0, s[0])))
     L = Vt[rank:]
     Q = Vt[:rank].T  # d x d' basis of the row space
     Ap = A @ Q
@@ -171,17 +171,18 @@ def cone_generators(normals, tol=FEAS_TOL):
             eq = ConvexHull(np.vstack([np.zeros(rank), Ap])).equations
         except QhullError as exc:
             raise ValueError(f"cone conversion failed in Qhull: {exc}") from None
-        cand = eq[np.abs(eq[:, -1]) <= tol, :-1]
+        cand = eq[np.abs(eq[:, -1]) <= FEAS_TOL, :-1]
     elif rank == 2:
         perp = Ap[:, ::-1] * [-1.0, 1.0]
         norms = np.linalg.norm(perp, axis=1)
-        perp = perp[norms > tol] / norms[norms > tol, None]
+        keep = norms > FEAS_TOL
+        perp = perp[keep] / norms[keep, None]
         cand = np.vstack([perp, -perp])
     elif rank == 1:
         cand = np.array([[1.0], [-1.0]])
     else:
         cand = np.empty((0, 0))
-    rays = cand[np.max(Ap @ cand.T, axis=0) <= tol]
+    rays = cand[np.max(Ap @ cand.T, axis=0) <= FEAS_TOL]
 
     G = np.vstack([rays @ Q.T, L, -L])
     if G.shape[0] == 0:

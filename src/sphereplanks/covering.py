@@ -36,16 +36,6 @@ class LuneFan:
     boundary_angles: np.ndarray  # (m+1,), strictly increasing, span 2 pi
     widen: np.ndarray | None = None  # per-lune added angle
 
-    @property
-    def gaps(self):
-        return np.diff(self.boundary_angles)
-
-    def inradius_sum(self):
-        """Exact angle arithmetic: sum of half the (possibly widened)
-        dihedral angles."""
-        extra = 0.0 if self.widen is None else math.fsum(self.widen)
-        return (math.fsum(self.gaps) + extra) / 2.0
-
 
 @dataclass(frozen=True)
 class CoveringInstance:
@@ -158,13 +148,6 @@ def check_covering(inst, samples=100_000, seed=0, threads=1):
     )
 
 
-def _body_inradius(body):
-    """Exact angle arithmetic for tagged lunes, solver otherwise."""
-    if body.lune is not None:
-        return body.lune.inradius
-    return bd.inradius(body).inradius
-
-
 def verify_thm1(inst, samples=100_000, seed=0, threads=1):
     """Covering bound: sum of inradii >= r(B).
 
@@ -176,7 +159,7 @@ def verify_thm1(inst, samples=100_000, seed=0, threads=1):
         raise CoveringError(
             f"covering check failed with {-cov.slack:.0f} uncovered samples")
     r_B = inst.B.radius
-    radii = [_body_inradius(b) for b in inst.bodies]
+    radii = [bd.inradius_value(b) for b in inst.bodies]
     total = math.fsum(radii)
     details = {"inradii": radii, "r_B": r_B, "seed": seed,
                "samples": samples}
@@ -186,7 +169,7 @@ def verify_thm1(inst, samples=100_000, seed=0, threads=1):
         strong = []
         for b in inst.bodies:
             cut = bd.intersect_with_hemisphere(b, inst.B)
-            strong.append(_body_inradius(cut) if cut.is_body else 0.0)
+            strong.append(bd.inradius_value(cut) if cut.is_body else 0.0)
         strong_total = math.fsum(strong)
         details["strong_inradii"] = strong
         details["strong_sum"] = strong_total
@@ -227,7 +210,7 @@ def verify_antipodal_argument(inst, samples=100_000, seed=0, threads=1):
 
     n_missed = sum(mc_map(draw, samples, seed, threads))
 
-    total = math.fsum(_body_inradius(b) for b in inst.bodies)
+    total = math.fsum(bd.inradius_value(b) for b in inst.bodies)
     direct_slack = total - r_B
     rearranged_slack = (math.pi - r_B + total) - math.pi
     agree = abs(direct_slack - rearranged_slack) <= 1e-9

@@ -149,12 +149,6 @@ def fan_from_dict(data):
     return make_lune_fan(n, angles, widen=widen, ball=cap)
 
 
-def save_fan(inst, path):
-    with open(path, "w") as fh:
-        json.dump(fan_to_dict(inst), fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
 def load_fan(path):
     with open(path) as fh:
         try:

@@ -19,7 +19,6 @@ import numpy as np
 from scipy.integrate import quad
 
 from . import bodies as bd
-from .cones import min_norm_point
 from .measure import (Estimate, VerificationReport, body_digest,
                       combined_stderr, mc_map, mean_width_mc)
 from .sphere import sample_uniform_sphere, sphere_area, unit_vector
@@ -85,7 +84,6 @@ def circumcenter_frame(body):
 class EuclideanPolytope:
     n: int
     vertices: np.ndarray  # (m, n)
-    contains_origin: bool = False
 
     def __post_init__(self):
         if self.vertices.ndim != 2 or self.vertices.shape[0] == 0:
@@ -102,22 +100,12 @@ def project_point(frame, x):
     return (scaled - frame.e) @ frame.basis.T
 
 
-def unproject_point(frame, y):
-    """Inverse gnomonic map back to the open hemisphere."""
-    y = np.asarray(y, dtype=float)
-    amb = frame.e + y @ frame.basis
-    return amb / np.linalg.norm(amb, axis=-1, keepdims=True) if amb.ndim > 1 \
-        else amb / np.linalg.norm(amb)
-
-
 def project_body(frame, body):
     """Project the generators; the image polytope is their convex hull."""
     if np.any(body.v_generators @ frame.e <= EQUATOR_TOL):
         raise bd.BodyError("body is not strictly inside the frame hemisphere")
     verts = project_point(frame, body.v_generators)
-    origin_dist = np.linalg.norm(min_norm_point(verts))
-    return EuclideanPolytope(n=frame.n, vertices=verts,
-                             contains_origin=origin_dist <= 1e-9)
+    return EuclideanPolytope(n=frame.n, vertices=verts)
 
 
 def hyperplane_param(frame, u):
@@ -191,25 +179,6 @@ def constant_weight(c=1.0):
     return WeightFunction(kind="constant", f=f, F=F)
 
 
-def tabulated_weight(ts, fs):
-    """Weight given by a sample table, linearly interpolated."""
-    ts = np.asarray(ts, dtype=float)
-    fs = np.asarray(fs, dtype=float)
-    if np.any(fs <= 0.0):
-        raise ValueError("weight table must be strictly positive")
-    if ts[0] != 0.0 or np.any(np.diff(ts) <= 0.0):
-        raise ValueError("table abscissae must start at 0 and increase")
-    cum = np.concatenate([[0.0], np.cumsum(np.diff(ts) * (fs[:-1] + fs[1:]) / 2.0)])
-
-    def f(t):
-        return np.interp(np.asarray(t, dtype=float), ts, fs)
-
-    def F(s):
-        return np.interp(np.asarray(s, dtype=float), ts, cum)
-
-    return WeightFunction(kind="table", f=f, F=F)
-
-
 def _quadrature_cumulative(f):
     def F(s):
         s_arr = np.atleast_1d(np.asarray(s, dtype=float))
@@ -217,20 +186,6 @@ def _quadrature_cumulative(f):
                         for si in s_arr])
         return out[0] if np.ndim(s) == 0 else out
     return F
-
-
-def validate_weight(w, smax=10.0, points=1000):
-    """Check f > 0, F(0) = 0 and F strictly increasing on a grid."""
-    grid = np.linspace(0.0, smax, points)
-    fv = w.f(grid)
-    if np.any(fv <= 0.0):
-        raise ValueError(f"{w.kind}: weight not strictly positive")
-    Fv = w.F(grid)
-    if abs(float(np.atleast_1d(Fv)[0])) > 1e-12:
-        raise ValueError(f"{w.kind}: F(0) != 0")
-    if np.any(np.diff(Fv) <= 0.0):
-        raise ValueError(f"{w.kind}: F not strictly increasing")
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -317,12 +272,11 @@ def _uf_mc(poly, w, samples, seed, threads):
                     samples=int(samples), seed=seed, quantity="uf")
 
 
-def check_projection_consistency(body, w=None, samples=None, seed=0, threads=1):
+def check_projection_consistency(body, samples=None, seed=0, threads=1):
     """Compare the sphere-side mean width with the projected-side U_f for
     the spherical weight, at 3 combined sigma."""
     frame = circumcenter_frame(body)
-    if w is None:
-        w = spherical_weight(body.n)
+    w = spherical_weight(body.n)
     poly = project_body(frame, body)
     sphere_side = mean_width_mc(body, samples=samples, seed=seed,
                                 threads=threads)

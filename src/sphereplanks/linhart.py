@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .cones import min_norm_point
 from .gnomonic import EuclideanPolytope, uf
 from .measure import Estimate, VerificationReport, mc_map
 from .sphere import make_stream, sample_uniform_sphere, sphere_area
@@ -28,7 +27,7 @@ QUAD_TOL = 1e-10
 # Smallest enclosing ball (Welzl)
 # ---------------------------------------------------------------------------
 
-def smallest_enclosing_ball(points, tol=SEB_TOL):
+def smallest_enclosing_ball(points):
     """Exact smallest enclosing ball by Welzl's recursive method.
 
     Returns ``(center, radius)``.
@@ -40,8 +39,7 @@ def smallest_enclosing_ball(points, tol=SEB_TOL):
     order = np.arange(P.shape[0])
     np.random.default_rng(1234).shuffle(order)  # deterministic shuffle
     scale = max(1.0, float(np.max(np.abs(P)))) ** 2
-    ball = _welzl([P[i] for i in order], [], d, tol * scale)
-    c, r2 = ball
+    c, r2 = _welzl([P[i] for i in order], [], d, SEB_TOL * scale)
     return c, math.sqrt(max(0.0, r2))
 
 
@@ -96,22 +94,30 @@ class SimplexInBall:
         return self.vertices.shape[1]
 
 
-def make_simplex(R, vertices, tol=1e-9):
+def make_simplex(R, vertices):
     V = np.atleast_2d(np.asarray(vertices, dtype=float))
     norms = np.linalg.norm(V, axis=1)
-    if np.any(np.abs(norms - R) > tol):
+    if np.any(np.abs(norms - R) > 1e-9):
         raise ValueError("all vertices must lie on the boundary sphere")
     diffs = V[1:] - V[0]
     if diffs.shape[0] and np.linalg.matrix_rank(diffs, tol=1e-9) != diffs.shape[0]:
         raise ValueError("vertices must be affinely independent")
     c, r = smallest_enclosing_ball(V)
-    if np.linalg.norm(c) > tol or abs(r - R) > tol:
+    if np.linalg.norm(c) > 1e-9 or abs(r - R) > 1e-9:
         raise ValueError("smallest enclosing ball of the vertices is not B")
     return SimplexInBall(R=float(R), vertices=V)
 
 
+def _check_ball(R, n):
+    """Refuse a ball B of radius R <= 0 or in dimension n < 1."""
+    if not (R > 0.0 and n >= 1):
+        raise ValueError(f"need radius R > 0 and dimension n >= 1, "
+                         f"got R = {R}, n = {n}")
+
+
 def segment_simplex(R, n):
     """The diameter segment: the unique minimizer shape."""
+    _check_ball(R, n)
     V = np.zeros((2, n))
     V[0, 0] = R
     V[1, 0] = -R
@@ -124,15 +130,16 @@ def regular_triangle(R):
     return make_simplex(R, V)
 
 
-def random_simplex(R, n, rng, k=None, retries=200):
+def random_simplex(R, n, rng, k=None):
     """Random inscribed simplex whose enclosing ball is exactly B.
 
     Half the time an antipodal diameter pair is forced in (which pins the
     enclosing ball); otherwise boundary points are resampled until the
     enclosing-ball check passes.
     """
+    _check_ball(R, n)
     k = int(rng.integers(1, n + 1)) if k is None else k
-    for _ in range(retries):
+    for _ in range(200):
         if rng.random() < 0.5 or k == 1:
             p = R * sample_uniform_sphere(n - 1, rng)
             extra = R * sample_uniform_sphere(n - 1, rng, size=k - 1)
@@ -146,14 +153,14 @@ def random_simplex(R, n, rng, k=None, retries=200):
     raise RuntimeError("failed to generate a valid inscribed simplex")
 
 
-def normal_cone_membership(s, j, u, tol=1e-12):
+def normal_cone_membership(s, j, u):
     """True iff u lies in the normal cone of the simplex at vertex j,
-    i.e. <u, v_i - v_j> <= tol for all i.  ``u`` may be a batch."""
+    i.e. <u, v_i - v_j> <= 1e-12 for all i.  ``u`` may be a batch."""
     if not 0 <= j <= s.k:
         raise IndexError(f"vertex index {j} out of range")
     u = np.asarray(u, dtype=float)
     diffs = s.vertices - s.vertices[j]
-    return np.max(diffs @ u.T, axis=0) <= tol
+    return np.max(diffs @ u.T, axis=0) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +173,7 @@ def constant_C(R, w, n):
         C = int_0^{pi/2} F(R cos phi) sin^{n-2} phi dphi
             / int_0^{pi/2} sin^{n-2} phi dphi
     """
-    if R <= 0.0:
-        raise ValueError("R must be positive")
+    _check_ball(R, n)
 
     def num(phi):
         return float(w.F(R * math.cos(phi))) * math.sin(phi) ** (n - 2)
@@ -260,22 +266,21 @@ def uf_via_images(s, w, samples=200_000, seed=0, threads=1):
 # K(B) instances and the minimality search
 # ---------------------------------------------------------------------------
 
-def make_kb_instance(R, vertices, tol=1e-8):
+def make_kb_instance(R, vertices):
     """Member of K(B), as the polytope conv(vertices), whose smallest
     enclosing ball must be the centered ball of radius R."""
     V = np.atleast_2d(np.asarray(vertices, dtype=float))
     c, r = smallest_enclosing_ball(V)
-    if np.linalg.norm(c) > tol or abs(r - R) > tol:
+    if np.linalg.norm(c) > 1e-8 or abs(r - R) > 1e-8:
         raise ValueError("smallest enclosing ball of the vertices is not B")
-    origin = np.linalg.norm(min_norm_point(V)) <= 1e-9
-    return EuclideanPolytope(n=V.shape[1], vertices=V, contains_origin=origin)
+    return EuclideanPolytope(n=V.shape[1], vertices=V)
 
 
-def random_kb_instance(R, n, rng, max_points=8, retries=100):
+def random_kb_instance(R, n, rng):
     """Random member of K(B): boundary/interior points re-centered and
     re-scaled until the enclosing-ball check passes."""
-    for _ in range(retries):
-        m = int(rng.integers(3, max_points + 1))
+    for _ in range(100):
+        m = int(rng.integers(3, 9))  # 3 to 8 points
         if rng.random() < 0.5:
             p = R * sample_uniform_sphere(n - 1, rng)
             pts = np.vstack([p, -p,
@@ -300,8 +305,7 @@ def min_uf_search(R, w, n=2, trials=50, samples=None, seed=0, threads=1):
     if trials < 1:
         raise ValueError("trials must be >= 1")
     seg = segment_simplex(R, n)
-    seg_poly = EuclideanPolytope(n=n, vertices=seg.vertices,
-                                 contains_origin=True)
+    seg_poly = EuclideanPolytope(n=n, vertices=seg.vertices)
     seg_est = uf(seg_poly, w, samples=samples, seed=seed, threads=threads)
     bound = uf_lower_bound(R, w, n)
 

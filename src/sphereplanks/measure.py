@@ -180,10 +180,7 @@ def verify_thm2(body, samples=None, seed=0, threads=1):
     noise) exactly for lunes.
     """
     vol = volume_mc(body, samples=samples, seed=seed, threads=threads)
-    if body.lune is not None:
-        r = body.lune.inradius
-    else:
-        r = bd.inradius(body).inradius
+    r = bd.inradius_value(body)
     rhs = sphere_area(body.n) / math.pi * r
     slack = rhs - vol.value
     tol = 3.0 * vol.stderr

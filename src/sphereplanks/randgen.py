@@ -21,21 +21,16 @@ def random_rotation(d, rng):
     return Q * np.sign(np.diag(R))
 
 
-def random_body(n, rng, cap_radius=1.0, n_points=None, center=None,
-                retries=50):
-    """Random polytopal body strictly inside a cap of radius < pi/2.
+def random_body(n, rng, n_points=None):
+    """Random polytopal body strictly inside a random cap of radius 1.
 
     V-generators are uniform points in the cap; the H-representation is
     computed by cone conversion.  Retries until the hull is
     full-dimensional.
     """
-    if not 0.0 < cap_radius < math.pi / 2.0:
-        raise ValueError("cap_radius must lie in (0, pi/2)")
     n_points = DEFAULT_POINTS.get(n, 4 * (n + 1)) if n_points is None else n_points
-    for _ in range(retries):
-        c = sample_uniform_sphere(n, rng) if center is None else center
-        cap = SphericalCap(center=np.asarray(c, dtype=float),
-                           radius=cap_radius)
+    for _ in range(50):
+        cap = SphericalCap(center=sample_uniform_sphere(n, rng), radius=1.0)
         pts = sample_uniform_cap(cap, rng, size=n_points)
         try:
             body = bd.make_body(n, v_generators=pts, tag="random")

@@ -80,9 +80,6 @@ class SphericalCap:
     def n(self):
         return self.center.shape[0] - 1
 
-    def contains(self, x):
-        return geodesic_distance(self.center, x) <= self.radius + UNIT_TOL
-
 
 # ---------------------------------------------------------------------------
 # Seeded streams.  Philox is counter-based, so a stream's draws depend

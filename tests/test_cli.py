@@ -310,3 +310,23 @@ def test_large_cap_polytope_and_polar_radius_duality(tmp_path):
     _, out = run_cli(["circumradius", str(body)])
     R = json.loads(out)["circumradius"]
     assert abs(r_polar - (math.pi / 2.0 - R)) <= 1e-7
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-prop", "--dim", "0"],
+    ["verify-linhart", "--dim", "0", "--simplex", "segment"],
+    ["verify-linhart", "--radius", "0"],
+    ["verify-linhart", "--radius", "-1"],
+], ids=["prop-dim-0", "linhart-segment-dim-0", "linhart-radius-0",
+        "linhart-radius-negative"])
+def test_bad_linhart_ball_exits_2(argv, capsys):
+    assert main([*argv, "--samples", "1000"]) == 2
+    assert "need radius R > 0 and dimension n >= 1" in capsys.readouterr().err
+
+
+def test_verify_prop_in_dimension_5_uses_the_quadrature_weight():
+    # spherical(5) has no closed-form F, so its cumulative is integrated.
+    code, out = run_cli(["verify-prop", "--dim", "5", "--weight",
+                         "spherical", "--trials", "2", "--samples", "2000"])
+    assert code == 0
+    assert json.loads(out)["weight"] == "spherical(5)"

@@ -24,8 +24,6 @@ def test_fan_inradius_sum_is_exact():
         inst = make_lune_fan(2, _angles(*gaps))
         total = math.fsum(b.lune.inradius for b in inst.bodies)
         assert abs(total - math.pi) < 1e-12
-        fan = inst.metadata["fan"]
-        assert abs(fan.inradius_sum() - math.pi) < 1e-12
 
 
 def test_fan_requires_increasing_angles():

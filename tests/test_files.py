@@ -12,7 +12,7 @@ from sphereplanks import make_stream, octant_body, random_body, random_lune
 from sphereplanks.covering import make_hemisphere_fan, make_lune_fan
 from sphereplanks.files import (FileFormatError, body_from_dict, body_to_dict,
                                 fan_from_dict, fan_to_dict, load_body,
-                                load_fan, parse_angle, save_body, save_fan)
+                                load_fan, parse_angle, save_body)
 
 
 @pytest.mark.parametrize("text,value", [
@@ -96,7 +96,7 @@ def test_fan_roundtrip(tmp_path):
     inst = make_lune_fan(2, [0.0, math.pi / 2, math.pi, 3 * math.pi / 2,
                              2 * math.pi], widen=0.01)
     path = tmp_path / "fan.json"
-    save_fan(inst, path)
+    path.write_text(json.dumps(fan_to_dict(inst)))
     back = load_fan(path)
     f0 = inst.metadata["fan"]
     f1 = back.metadata["fan"]
@@ -109,7 +109,7 @@ def test_fan_roundtrip(tmp_path):
 def test_hemisphere_fan_roundtrip(tmp_path):
     inst = make_hemisphere_fan(2, [0.0, math.pi / 2, math.pi], widen=0.05)
     path = tmp_path / "hemifan.json"
-    save_fan(inst, path)
+    path.write_text(json.dumps(fan_to_dict(inst)))
     back = load_fan(path)
     assert back.metadata["construction"] == "hemisphere-fan"
     assert back.B.radius == math.pi / 2

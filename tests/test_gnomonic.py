@@ -11,11 +11,9 @@ from sphereplanks import (check_projection_consistency, constant_weight,
                           hyperplane_param, make_stream, octant_body,
                           project_body, project_point, random_body,
                           sample_uniform_sphere, spherical_weight,
-                          support_function, tabulated_weight, uf,
-                          unproject_point)
+                          support_function, uf)
 from sphereplanks.bodies import BodyError
-from sphereplanks.gnomonic import (EuclideanPolytope, circumcenter_frame,
-                                   validate_weight)
+from sphereplanks.gnomonic import EuclideanPolytope, circumcenter_frame
 from sphereplanks.measure import default_samples
 from sphereplanks.randgen import cap_polytope, random_lune
 
@@ -38,7 +36,9 @@ def test_projection_roundtrip():
     fr = frame_at(sample_uniform_sphere(3, rng))
     pts = sample_uniform_sphere(3, rng, size=1000)
     pts = pts[pts @ fr.e > 0.05]
-    back = unproject_point(fr, project_point(fr, pts))
+    # Inverse map: lift y to e + y . basis and renormalise.
+    amb = fr.e + project_point(fr, pts) @ fr.basis
+    back = amb / np.linalg.norm(amb, axis=1, keepdims=True)
     assert np.max(np.abs(back - pts)) < 1e-12
 
 
@@ -59,11 +59,10 @@ def test_projection_rejects_equator():
         project_point(fr, np.array([1.0, 0.0, 0.0]))
 
 
-def test_project_body_flags_origin():
+def test_project_body_maps_cap_ring_to_tangent_circle():
     body = cap_polytope(2, [0.0, 0.0, 1.0], 0.5, n_vertices=32)
     fr = frame_at(np.array([0.0, 0.0, 1.0]))
     poly = project_body(fr, body)
-    assert poly.contains_origin
     assert poly.vertices.shape == (32, 2)
     assert np.allclose(np.linalg.norm(poly.vertices, axis=1), math.tan(0.5),
                        atol=1e-12)
@@ -141,7 +140,12 @@ def test_spherical_weight_closed_form_F(n):
         oracle, _ = quad(lambda t: (1.0 + t * t) ** (-(n + 1) / 2.0),
                          0.0, s, epsabs=1e-12)
         assert float(w.F(s)) == pytest.approx(oracle, abs=1e-10)
-    assert validate_weight(w)
+    # f > 0, F(0) = 0 and F strictly increasing on a grid.
+    grid = np.linspace(0.0, 10.0, 1000)
+    assert np.all(w.f(grid) > 0.0)
+    F = w.F(grid)
+    assert abs(float(F[0])) <= 1e-12
+    assert np.all(np.diff(F) > 0.0)
 
 
 def test_spherical_weight_generic_dimension():
@@ -156,23 +160,6 @@ def test_constant_weight():
     assert float(w.F(3.0)) == 6.0
     with pytest.raises(ValueError):
         constant_weight(0.0)
-
-
-def test_tabulated_weight_matches_table():
-    ts = np.linspace(0.0, 5.0, 2001)
-    w_exact = spherical_weight(2)
-    w_tab = tabulated_weight(ts, np.asarray(w_exact.f(ts)))
-    for s in (0.5, 1.7, 4.2):
-        assert float(w_tab.F(s)) == pytest.approx(float(w_exact.F(s)),
-                                                  abs=1e-5)
-    assert validate_weight(w_tab, smax=5.0)
-
-
-def test_tabulated_weight_validation():
-    with pytest.raises(ValueError):
-        tabulated_weight([0.0, 1.0], [1.0, -1.0])
-    with pytest.raises(ValueError):
-        tabulated_weight([0.5, 1.0], [1.0, 1.0])
 
 
 def test_change_of_variables_identity():
@@ -194,8 +181,7 @@ def test_change_of_variables_identity():
 
 def test_support_function_square():
     poly = EuclideanPolytope(n=2, vertices=np.array(
-        [[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]),
-        contains_origin=True)
+        [[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]))
     assert support_function(poly, np.array([1.0, 0.0])) == 1.0
     th = np.linspace(0.0, 2.0 * math.pi, 7)
     dirs = np.stack([np.cos(th), np.sin(th)], axis=1)
@@ -207,8 +193,7 @@ def test_uf_constant_weight_square():
     # With f = 1 and 0 in K, U_f = int h(u) du = perimeter integral of the
     # support function: for the unit square int |cos| + |sin| = 8.
     poly = EuclideanPolytope(n=2, vertices=np.array(
-        [[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]),
-        contains_origin=True)
+        [[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]))
     est = uf(poly, constant_weight())
     assert est.value == pytest.approx(8.0, abs=1e-9)
 
@@ -218,9 +203,8 @@ def test_uf_two_sided_translation_invariant_measure():
     # not change U_f (two-sided integrand handles 0 outside K).
     w = spherical_weight(2)
     sq = np.array([[0.5, 0.5], [0.5, -0.5], [-0.5, 0.5], [-0.5, -0.5]])
-    base = uf(EuclideanPolytope(n=2, vertices=sq, contains_origin=True), w)
-    shifted = uf(EuclideanPolytope(n=2, vertices=sq + np.array([2.0, 0.7]),
-                                   contains_origin=False), w)
+    base = uf(EuclideanPolytope(n=2, vertices=sq), w)
+    shifted = uf(EuclideanPolytope(n=2, vertices=sq + np.array([2.0, 0.7])), w)
     # Not equal in general for weighted measures (f decays with distance),
     # but the two-sided form must still bound it and stay positive.
     assert shifted.value > 0.0
@@ -238,7 +222,7 @@ def test_uf_quadrature_matches_mc():
 
 
 def test_uf_quadrature_rejects_higher_dim():
-    poly = EuclideanPolytope(n=3, vertices=np.eye(3), contains_origin=False)
+    poly = EuclideanPolytope(n=3, vertices=np.eye(3))
     with pytest.raises(ValueError):
         uf(poly, constant_weight(), mode="quadrature")
 
@@ -247,8 +231,7 @@ def test_uf_segment_closed_form():
     # Segment [-a, a] x {0}: hyperplanes with normal angle theta meet it
     # iff |t| <= a |cos theta|; U_f = int F(a |cos|) = 4 int_0^{pi/2}.
     a = 1.0
-    poly = EuclideanPolytope(n=2, vertices=np.array([[a, 0.0], [-a, 0.0]]),
-                             contains_origin=True)
+    poly = EuclideanPolytope(n=2, vertices=np.array([[a, 0.0], [-a, 0.0]]))
     w = spherical_weight(2)
     est = uf(poly, w)
     oracle, _ = quad(lambda th: float(w.F(a * abs(math.cos(th)))),
@@ -259,7 +242,7 @@ def test_uf_segment_closed_form():
 
 
 def test_uf_mc_reproducible():
-    poly = EuclideanPolytope(n=3, vertices=np.eye(3), contains_origin=False)
+    poly = EuclideanPolytope(n=3, vertices=np.eye(3))
     w = spherical_weight(3)
     a = uf(poly, w, samples=100_000, seed=7, threads=1)
     b = uf(poly, w, samples=100_000, seed=7, threads=4)

@@ -201,8 +201,7 @@ def test_segment_attains_the_bound():
     for R in (0.5, 1.0, 3.0):
         for w in (constant_weight(), spherical_weight(2)):
             seg = segment_simplex(R, 2)
-            poly = EuclideanPolytope(n=2, vertices=seg.vertices,
-                                     contains_origin=True)
+            poly = EuclideanPolytope(n=2, vertices=seg.vertices)
             est = uf(poly, w)
             assert est.value == pytest.approx(uf_lower_bound(R, w, 2),
                                               abs=1e-8)
@@ -248,8 +247,7 @@ def test_uf_via_images_matches_uf():
     for n, k in ((2, 2), (3, 3), (3, 1)):
         s = random_simplex(1.0, n, rng, k=k)
         w = spherical_weight(n)
-        poly = EuclideanPolytope(n=n, vertices=s.vertices,
-                                 contains_origin=True)
+        poly = EuclideanPolytope(n=n, vertices=s.vertices)
         direct = uf(poly, w, samples=300_000, seed=14)
         via = uf_via_images(s, w, samples=300_000, seed=15)
         tol = 3.0 * math.hypot(direct.stderr, via.stderr) + 1e-8
@@ -280,9 +278,7 @@ def test_perturbed_segment_increases_uf():
     """Thickening the segment into a thin lens strictly increases U_f."""
     w = spherical_weight(2)
     seg = segment_simplex(1.0, 2)
-    seg_val = uf(EuclideanPolytope(n=2, vertices=seg.vertices,
-                                   contains_origin=True), w).value
+    seg_val = uf(EuclideanPolytope(n=2, vertices=seg.vertices), w).value
     lens = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 0.4], [0.0, -0.4]])
-    lens_val = uf(EuclideanPolytope(n=2, vertices=lens,
-                                    contains_origin=True), w).value
+    lens_val = uf(EuclideanPolytope(n=2, vertices=lens), w).value
     assert lens_val > seg_val + 1e-3
