@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cones import cone_generators, dedup_rows, max_min_inner
-from .sphere import SphericalCap, geodesic_distance, unit_vector
+from .sphere import SphericalCap, geodesic_distance, row_blocks, unit_vector
 
 CONTAIN_TOL = 1e-12
 CROSS_TOL = 1e-9
@@ -119,11 +119,14 @@ def contains(body, x, tol=CONTAIN_TOL):
     """Membership test <u_i, x> <= tol for all facet poles.
 
     ``x`` may be a single vector or an (m, n+1) batch.  The products are
-    taken facet-major, shape (k, m), so the test reduces over the long
-    axis.
+    taken facet-major in row blocks, shape (k, rows), so the test reduces
+    over the long axis.
     """
     x = np.asarray(x, dtype=float)
-    return np.max(body.h_normals @ x.T, axis=0) <= tol
+    out = np.empty(x.shape[:-1], dtype=bool)
+    for rows, vals in row_blocks(body.h_normals, x):
+        out[rows] = np.max(vals, axis=0) <= tol
+    return out[()]
 
 
 def hyperplane_meets(body, u):
@@ -135,8 +138,10 @@ def hyperplane_meets(body, u):
     if not body.is_body:
         raise BodyError("hyperplane_meets requires a body with interior")
     u = np.asarray(u, dtype=float)
-    vals = body.v_generators @ u.T  # generator-major, (k, m)
-    return (np.min(vals, axis=0) <= 0.0) & (np.max(vals, axis=0) >= 0.0)
+    out = np.empty(u.shape[:-1], dtype=bool)
+    for rows, vals in row_blocks(body.v_generators, u):  # generator-major
+        out[rows] = (vals.min(axis=0) <= 0.0) & (vals.max(axis=0) >= 0.0)
+    return out[()]
 
 
 def polar(body):

@@ -110,11 +110,10 @@ def cmd_gen_body(args):
         radius = files.parse_angle(args.cap_radius)
         center = np.zeros(args.dim + 1)
         center[-1] = 1.0
-        body = cap_polytope(args.dim, center, radius,
-                            n_vertices=args.vertices, rng=rng)
+        count = {} if args.vertices is None else {"n_vertices": args.vertices}
+        body = cap_polytope(args.dim, center, radius, rng=rng, **count)
     else:
-        body = random_body(args.dim, rng, n_points=args.vertices
-                           if args.vertices else None)
+        body = random_body(args.dim, rng, n_points=args.vertices)
     payload = files.body_to_dict(body)
     payload["seed"] = args.seed
     return 0, payload
@@ -221,6 +220,8 @@ def cmd_verify_linhart(args):
     if args.simplex == "segment":
         s = lh.segment_simplex(args.radius, args.dim)
     elif args.simplex == "regular-triangle":
+        if args.dim != 2:
+            raise ValueError("the regular triangle is planar: use --dim 2")
         s = lh.regular_triangle(args.radius)
     else:
         s = lh.random_simplex(args.radius, args.dim, make_stream(args.seed))

@@ -21,7 +21,8 @@ from scipy.integrate import quad
 from . import bodies as bd
 from .measure import (Estimate, VerificationReport, body_digest,
                       combined_stderr, mc_map, mean_width_mc)
-from .sphere import sample_uniform_sphere, sphere_area, unit_vector
+from .sphere import row_blocks, sample_uniform_sphere, sphere_area, \
+    unit_vector
 
 FRAME_TOL = 1e-12
 EQUATOR_TOL = 1e-9
@@ -199,10 +200,11 @@ def support_function(poly, u0):
 
 
 def _uf_integrand(poly, w, dirs):
-    dots = poly.vertices @ dirs.T  # vertex-major, (k, m)
-    upper = np.maximum(dots.max(axis=0), 0.0)
-    lower = np.clip(dots.min(axis=0), 0.0, upper)
-    return w.F(upper) - w.F(lower)
+    hi, lo = np.empty(dirs.shape[:-1]), np.empty(dirs.shape[:-1])
+    for rows, dots in row_blocks(poly.vertices, dirs):  # vertex-major
+        hi[rows], lo[rows] = dots.max(axis=0), dots.min(axis=0)
+    upper = np.maximum(hi, 0.0)
+    return w.F(upper) - w.F(np.clip(lo, 0.0, upper))
 
 
 def uf(poly, w, samples=None, seed=0, mode="auto", threads=1):

@@ -29,6 +29,9 @@ def random_body(n, rng, n_points=None):
     full-dimensional.
     """
     n_points = DEFAULT_POINTS.get(n, 4 * (n + 1)) if n_points is None else n_points
+    if n_points < n + 1:
+        raise ValueError(f"a body in S^{n} needs at least {n + 1} generators, "
+                         f"got {n_points}")
     for _ in range(50):
         cap = SphericalCap(center=sample_uniform_sphere(n, rng), radius=1.0)
         pts = sample_uniform_cap(cap, rng, size=n_points)
@@ -60,6 +63,8 @@ def cap_polytope(n, center, radius, n_vertices=64, rng=None):
     For n = 2 a regular vertex ring on the boundary circle; for higher n
     random points on the boundary sphere (requires ``rng``).
     """
+    if n_vertices < 1:
+        raise ValueError(f"need at least 1 vertex, got {n_vertices}")
     center = normalize(np.asarray(center, dtype=float))
     d = n + 1
     # Orthonormal basis of center-perp.

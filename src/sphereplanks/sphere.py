@@ -15,6 +15,9 @@ from scipy.integrate import quad
 UNIT_TOL = 1e-12
 #: Most sphere draws one rejection round of ``sample_uniform_cap`` makes.
 CAP_ROUND_DRAWS = 1 << 20
+#: Most multiply entries (k * d * rows) a ``row_blocks`` product takes:
+#: OpenBLAS runs products this small on the calling thread.
+BLOCK_ENTRIES = 1 << 18
 
 
 def sphere_area(n):
@@ -52,6 +55,17 @@ def normalize(x):
     if np.any(nrm == 0.0):
         raise ValueError("cannot normalize the zero vector")
     return v / nrm
+
+
+def row_blocks(A, x):
+    """``(rows, A @ x[rows].T)`` over row blocks of the batch ``x`` that
+    depend only on ``A.shape``; a 1-d ``x`` is one block, ``rows = ()``."""
+    if x.ndim == 1:
+        yield (), A @ x
+        return
+    step = max(1, BLOCK_ENTRIES // A.size)
+    for start in range(0, x.shape[0], step):
+        yield slice(start, start + step), A @ x[start:start + step].T
 
 
 def geodesic_distance(x, y):

@@ -13,8 +13,9 @@ from sphereplanks import (BodyError, circumradius, contains, geodesic_distance,
                           make_lune_from_angle, make_stream, octant_body,
                           polar, random_body, random_lune, sample_uniform_cap,
                           sample_uniform_sphere)
-from sphereplanks.bodies import CONTAIN_TOL
-from sphereplanks.sphere import SphericalCap
+from sphereplanks.bodies import CONTAIN_TOL, ConvexBody
+from sphereplanks.randgen import cap_polytope
+from sphereplanks.sphere import BLOCK_ENTRIES, SphericalCap
 
 OCTANT_INRADIUS = math.asin(1.0 / math.sqrt(3.0))
 OCTANT_CIRCUMRADIUS = math.acos(1.0 / math.sqrt(3.0))
@@ -131,6 +132,89 @@ def test_cone_tests_match_all_reduce_formulas(n, kind, seed, data):
         assert contains(body, x) == _all_reduce_contains(body, x)
     for u in dirs:
         assert hyperplane_meets(body, u) == _all_reduce_meets(body, u)
+
+
+def _one_shot_contains(A, x, tol=CONTAIN_TOL):
+    """Reference: the whole batch's facet-major product in one call."""
+    return np.max(A @ x.T, axis=0) <= tol
+
+
+def _one_shot_meets(A, u):
+    vals = A @ u.T
+    return (np.min(vals, axis=0) <= 0.0) & (np.max(vals, axis=0) >= 0.0)
+
+
+def _ragged_batch(data, A):
+    """A batch size spanning 3 or 4 row blocks of ``A``, the last one
+    ragged."""
+    step = max(1, BLOCK_ENTRIES // A.size)
+    return step * data.draw(st.integers(2, 3)) + \
+        data.draw(st.integers(1, step - 1))
+
+
+def _axis_rows(n, k, rng):
+    """k signed coordinate axes of R^(n+1) (repeats allowed)."""
+    return np.eye(n + 1)[rng.integers(0, n + 1, k)] * \
+        rng.choice([-1.0, 1.0], (k, 1))
+
+
+def _exact_batch(n, m, rng):
+    """Uniform points with about half the coordinates replaced by 0, +-tol
+    or +-1; against axis rows each lies on a facet or exactly tol off it."""
+    pts = sample_uniform_sphere(n, rng, size=m)
+    mask = rng.random(pts.shape) < 0.5
+    pts[mask] = rng.choice([0.0, 0.0, CONTAIN_TOL, -CONTAIN_TOL, 1.0, -1.0],
+                           int(mask.sum()))
+    return pts
+
+
+def _assert_blocked_equals_one_shot(body, pts):
+    assert np.array_equal(contains(body, pts),
+                          _one_shot_contains(body.h_normals, pts))
+    assert np.array_equal(hyperplane_meets(body, pts),
+                          _one_shot_meets(body.v_generators, pts))
+    for x in pts[:: max(1, len(pts) // 7)]:  # single vectors give scalars
+        got = contains(body, x), hyperplane_meets(body, x)
+        assert got == (_one_shot_contains(body.h_normals, x),
+                       _one_shot_meets(body.v_generators, x))
+        assert all(type(g) is np.bool_ for g in got)
+
+
+@given(n=st.integers(2, 4), k=st.integers(1, 300), seed=st.integers(0, 2 ** 16),
+       data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_blocked_cone_tests_match_one_shot_on_exact_products(n, k, seed, data):
+    """Facet rows that are signed axes make every product one coordinate,
+    exactly, whatever the blocking; exact coordinates then put points on a
+    facet and +-tol off it, so turning ``<=`` into ``<`` fails here."""
+    rng = make_stream(seed)
+    A = _axis_rows(n, k, rng)
+    body = ConvexBody(n=n, h_normals=A, v_generators=A)
+    _assert_blocked_equals_one_shot(body,
+                                    _exact_batch(n, _ragged_batch(data, A), rng))
+
+
+@given(n=st.integers(2, 4), vertices=st.integers(8, 40),
+       seed=st.integers(0, 2 ** 16), data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_blocked_cone_tests_match_one_shot_on_cap_polytopes(n, vertices, seed,
+                                                           data):
+    """Many-facet bodies at uniform points, where no product sits within
+    an ulp of a threshold."""
+    rng = make_stream(seed)
+    body = cap_polytope(n, np.eye(n + 1)[n], 0.7, n_vertices=vertices, rng=rng)
+    m = max(_ragged_batch(data, body.h_normals),
+            _ragged_batch(data, body.v_generators))
+    _assert_blocked_equals_one_shot(body, sample_uniform_sphere(n, rng, m))
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_blocked_cone_tests_with_one_point_per_block(n):
+    # k * d > BLOCK_ENTRIES, so every block holds a single point.
+    rng = make_stream(n)
+    A = _axis_rows(n, BLOCK_ENTRIES // (n + 1) + 1, rng)
+    body = ConvexBody(n=n, h_normals=A, v_generators=A)
+    _assert_blocked_equals_one_shot(body, _exact_batch(n, 6, rng))
 
 
 # ---------------------------------------------------------------------------

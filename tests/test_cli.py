@@ -8,6 +8,9 @@ import sys
 import pytest
 
 from sphereplanks.cli import main
+from sphereplanks.files import load_body
+from sphereplanks.measure import N_BATCHES
+from sphereplanks.sphere import BLOCK_ENTRIES
 
 
 def run_cli(args, tmp_path=None):
@@ -330,3 +333,56 @@ def test_verify_prop_in_dimension_5_uses_the_quadrature_weight():
                          "spherical", "--trials", "2", "--samples", "2000"])
     assert code == 0
     assert json.loads(out)["weight"] == "spherical(5)"
+
+
+def test_gen_cap_body_without_vertices_uses_64():
+    code, out = run_cli(["gen-body", "--kind", "cap", "--dim", "2"])
+    assert code == 0
+    assert len(json.loads(out)["generators"]) == 64
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--kind", "random", "--dim", "2", "--vertices", "1"],
+     "needs at least 3 generators"),
+    (["--kind", "random", "--dim", "3", "--vertices", "3"],
+     "needs at least 4 generators"),
+    (["--kind", "random", "--dim", "2", "--vertices", "0"],
+     "needs at least 3 generators"),
+    (["--kind", "cap", "--dim", "2", "--vertices", "0"],
+     "need at least 1 vertex"),
+    (["--kind", "cap", "--dim", "3", "--vertices", "-2"],
+     "need at least 1 vertex"),
+], ids=["random-S2-1", "random-S3-3", "random-S2-0", "cap-S2-0",
+        "cap-S3-negative"])
+def test_gen_body_with_too_few_vertices_exits_2(argv, message, capsys):
+    assert main(["gen-body", *argv]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dim", ["3", "5"])
+def test_regular_triangle_outside_the_plane_exits_2(dim, capsys):
+    assert main(["verify-linhart", "--simplex", "regular-triangle",
+                 "--dim", dim, "--samples", "1000"]) == 2
+    assert "regular triangle is planar" in capsys.readouterr().err
+
+
+def test_reports_are_byte_identical_across_threads_on_many_facets(tmp_path):
+    """An S^4 cap polytope with 57 facets and 16 generators, at a sample
+    count whose every batch spans several product blocks."""
+    body_file = tmp_path / "cap.json"
+    assert main(["gen-body", "--kind", "cap", "--dim", "4", "--vertices",
+                 "16", "--seed", "4", "--out", str(body_file)]) == 0
+    body = load_body(str(body_file))
+    assert body.h_normals.shape[0] >= 40
+    samples = 10_000 * N_BATCHES
+    for A in (body.h_normals, body.v_generators):
+        assert samples // N_BATCHES > 2 * (BLOCK_ENTRIES // A.size)
+    for verb in ("verify-thm2", "verify-2-1", "verify-projection"):
+        outs = []
+        for threads in ("1", "2"):
+            path = tmp_path / f"{verb}-{threads}.json"
+            assert main([verb, str(body_file), "--samples", str(samples),
+                         "--seed", "9", "--threads", threads,
+                         "--out", str(path)]) == 0
+            outs.append(path.read_bytes())
+        assert outs[0] == outs[1]

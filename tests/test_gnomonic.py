@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from sphereplanks import (check_projection_consistency, constant_weight,
@@ -13,9 +15,11 @@ from sphereplanks import (check_projection_consistency, constant_weight,
                           sample_uniform_sphere, spherical_weight,
                           support_function, uf)
 from sphereplanks.bodies import BodyError
-from sphereplanks.gnomonic import EuclideanPolytope, circumcenter_frame
+from sphereplanks.gnomonic import (EuclideanPolytope, _uf_integrand,
+                                   circumcenter_frame)
 from sphereplanks.measure import default_samples
 from sphereplanks.randgen import cap_polytope, random_lune
+from sphereplanks.sphere import BLOCK_ENTRIES
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +243,53 @@ def test_uf_segment_closed_form():
     assert est.value == pytest.approx(oracle, abs=1e-8)
     # Which is 4 arcsin(a / sqrt(1 + a^2)) = 4 * (pi/4) for a = 1.
     assert est.value == pytest.approx(math.pi, abs=1e-8)
+
+
+def _one_shot_integrand(poly, w, dirs):
+    """Reference: the whole batch's vertex-major product in one call."""
+    dots = poly.vertices @ dirs.T
+    upper = np.maximum(dots.max(axis=0), 0.0)
+    lower = np.clip(dots.min(axis=0), 0.0, upper)
+    return w.F(upper) - w.F(lower)
+
+
+def _assert_integrands_agree(poly, w, dirs, atol=0.0):
+    np.testing.assert_allclose(_uf_integrand(poly, w, dirs),
+                               _one_shot_integrand(poly, w, dirs),
+                               rtol=0.0, atol=atol)
+    for u in dirs[:: max(1, len(dirs) // 5)]:
+        assert _uf_integrand(poly, w, u) == _one_shot_integrand(poly, w, u)
+
+
+@given(n=st.integers(2, 4), k=st.integers(1, 300), seed=st.integers(0, 2 ** 16),
+       data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_blocked_uf_integrand_matches_one_shot(n, k, seed, data):
+    """Over 3 or 4 row blocks, the last one ragged.  Integer vertices and
+    directions on a 2^-20 grid give exact products in any blocking, so the
+    integrands agree bitwise; for real vertices and uniform directions the
+    blocked products may differ from the one-shot ones by an ulp."""
+    rng = make_stream(seed)
+    grid = EuclideanPolytope(
+        n=n, vertices=rng.integers(-3, 4, (k, n)).astype(float))
+    step = max(1, BLOCK_ENTRIES // grid.vertices.size)
+    m = step * data.draw(st.integers(2, 3)) + \
+        data.draw(st.integers(1, step - 1))
+    w = data.draw(st.sampled_from((spherical_weight(n), constant_weight())))
+    dirs = sample_uniform_sphere(n - 1, rng, size=m)
+    _assert_integrands_agree(grid, w, np.round(dirs * 2.0 ** 20) / 2.0 ** 20)
+    real = EuclideanPolytope(n=n, vertices=rng.standard_normal((k, n)))
+    _assert_integrands_agree(real, w, dirs, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_blocked_uf_integrand_with_one_direction_per_block(n):
+    # k * n > BLOCK_ENTRIES, so every block holds a single direction.
+    rng = make_stream(n)
+    poly = EuclideanPolytope(n=n, vertices=rng.integers(
+        -3, 4, (BLOCK_ENTRIES // n + 1, n)).astype(float))
+    dirs = np.round(sample_uniform_sphere(n - 1, rng, size=6) * 2.0 ** 20)
+    _assert_integrands_agree(poly, spherical_weight(n), dirs / 2.0 ** 20)
 
 
 def test_uf_mc_reproducible():
