@@ -25,6 +25,7 @@ from . import files
 from . import gnomonic as gn
 from . import linhart as lh
 from . import measure as ms
+from .cones import MAX_AMBIENT_DIM
 from .randgen import cap_polytope, octant_body, random_body, random_lune
 from .sphere import make_stream
 
@@ -81,9 +82,12 @@ def _jsonable(obj):
 
 def _mc(args):
     """The Monte Carlo options every sampling verb passes through; a set
-    sample count must be positive even where the verb ends up exact."""
+    sample count and the thread count must be positive even where the
+    verb ends up exact."""
     if args.samples is not None and args.samples < 1:
         raise ValueError(f"samples must be >= 1, got {args.samples}")
+    if args.threads < 1:
+        raise ValueError(f"threads must be >= 1, got {args.threads}")
     return {"samples": args.samples, "seed": args.seed,
             "threads": args.threads}
 
@@ -100,6 +104,11 @@ def _report_payload(report, args):
 # ---------------------------------------------------------------------------
 
 def cmd_gen_body(args):
+    # Every kind is converted to its other representation, so S^n must fit
+    # cone conversion; checked before anything of size n is built.
+    if not 1 <= args.dim < MAX_AMBIENT_DIM:
+        raise ValueError(f"gen-body needs --dim from 1 to "
+                         f"{MAX_AMBIENT_DIM - 1}, got {args.dim}")
     rng = make_stream(args.seed)
     if args.kind == "octant":
         body = octant_body(args.dim)

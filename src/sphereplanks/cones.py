@@ -19,6 +19,8 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 DEDUP_TOL = 1e-9
+#: Largest ambient dimension d = n + 1 that cone conversion supports.
+MAX_AMBIENT_DIM = 5
 FEAS_TOL = 1e-9
 
 
@@ -152,8 +154,9 @@ def cone_generators(normals):
     """
     A = np.atleast_2d(np.asarray(normals, dtype=float))
     d = A.shape[1]
-    if d > 5:
-        raise ValueError(f"ambient dimension {d} > 5 not supported")
+    if d > MAX_AMBIENT_DIM:
+        raise ValueError(f"ambient dimension {d} > {MAX_AMBIENT_DIM} "
+                         f"not supported")
     if A.shape[0] == 0:
         eye = np.eye(d)
         return np.vstack([eye, -eye])

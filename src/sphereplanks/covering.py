@@ -15,9 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bodies as bd
+from .cones import MAX_AMBIENT_DIM
 from .measure import VerificationReport, mc_map
-from .sphere import (SphericalCap, geodesic_distance, sample_uniform_cap,
-                     sample_uniform_sphere)
+from .sphere import (SphericalCap, geodesic_distance, sample_cap_batches,
+                     sample_sphere_batches)
 
 ANGLE_TOL = 1e-12
 RADIUS_TOL = 1e-7
@@ -63,6 +64,7 @@ def make_lune_fan(n, boundary_angles, widen=None, ball=None):
         raise ValueError("boundary angles must span exactly 2 pi")
     if np.any(gaps > math.pi + ANGLE_TOL):
         raise ValueError("each lune must lie in a hemisphere (gap <= pi)")
+    p, q = _fan_plane(n)
 
     if widen is not None:
         widen = np.broadcast_to(np.asarray(widen, dtype=float),
@@ -72,7 +74,6 @@ def make_lune_fan(n, boundary_angles, widen=None, ball=None):
         if np.any(widen < 0.0):
             raise ValueError("widening must be nonnegative")
 
-    p, q = np.eye(n + 1)[:2]
     lunes = []
     for i, gap in enumerate(gaps):
         extra = 0.0 if widen is None else widen[i]
@@ -100,7 +101,7 @@ def make_hemisphere_fan(n, boundary_angles, widen=None):
     if np.any(gaps <= 0.0) or abs(angles[0]) > ANGLE_TOL \
             or abs(angles[-1] - math.pi) > ANGLE_TOL:
         raise ValueError("boundary angles must increase from 0 to pi")
-    p, q = np.eye(n + 1)[:2]
+    p, q = _fan_plane(n)
     m = gaps.shape[0]
     if widen is not None:
         widen = np.broadcast_to(np.asarray(widen, dtype=float), (m,)).copy()
@@ -118,6 +119,16 @@ def make_hemisphere_fan(n, boundary_angles, widen=None):
                                       "fan": fan})
 
 
+def _fan_plane(n):
+    """The plane of the first two axes, whose sectors are a fan's lunes.
+    Lunes are converted to generators, so S^n must fit cone conversion;
+    checked before anything of size n is built."""
+    if not 1 <= n < MAX_AMBIENT_DIM:
+        raise ValueError(f"fans need a dimension from 1 to "
+                         f"{MAX_AMBIENT_DIM - 1}, got {n}")
+    return np.eye(n + 1)[:2]
+
+
 def _uncovered(bodies, pts, covered):
     """Mask of ``pts`` outside every body and outside ``covered`` (updated)."""
     for body in bodies:
@@ -131,9 +142,10 @@ def check_covering(inst, samples=100_000, seed=0, threads=1):
     """Covering check by sampling: every point sampled uniformly in B must
     lie in some body; up to 10 uncovered witnesses are reported.  Nothing
     here is exact: a gap smaller than the sample spacing can pass."""
-    def draw(rng, size):
-        pts = sample_uniform_cap(inst.B, rng, size=size)
-        return pts[_uncovered(inst.bodies, pts, np.zeros(size, dtype=bool))]
+    def draw(rngs, sizes):
+        pts = sample_cap_batches(inst.B, rngs, sizes)
+        return pts[_uncovered(inst.bodies, pts,
+                              np.zeros(pts.shape[0], dtype=bool))]
 
     missed = np.concatenate(mc_map(draw, samples, seed, threads))
     n_missed = missed.shape[0]
@@ -203,8 +215,8 @@ def verify_antipodal_argument(inst, samples=100_000, seed=0, threads=1):
     n = inst.B.n
     anti = SphericalCap(center=-inst.B.center, radius=math.pi - r_B)
 
-    def draw(rng, size):
-        pts = sample_uniform_sphere(n, rng, size=size)
+    def draw(rngs, sizes):
+        pts = sample_sphere_batches(n, rngs, sizes)
         near = geodesic_distance(pts, anti.center) <= anti.radius + 1e-12
         return int(np.count_nonzero(_uncovered(inst.bodies, pts, near)))
 

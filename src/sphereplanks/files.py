@@ -19,6 +19,7 @@ from . import bodies as bd
 from .covering import make_hemisphere_fan, make_lune_fan
 from .sphere import SphericalCap
 
+FAN_KINDS = ("lune-fan", "perturbed-fan", "hemisphere-fan")
 _ANGLE_RE = re.compile(r"^\s*(\d+)?\s*\*?\s*pi\s*(?:/\s*(\d+))?\s*$")
 
 
@@ -76,7 +77,7 @@ def body_from_dict(data):
         rep = data.get("rep", "both")
         normals = data.get("normals")
         generators = data.get("generators")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FileFormatError(f"bad body file: {exc}") from None
     if rep not in ("H", "V", "both"):
         raise FileFormatError(f"bad rep field {rep!r}")
@@ -139,8 +140,12 @@ def fan_from_dict(data):
         cap = None if ball is None else SphericalCap(
             center=_numeric(ball["center"], "ball center"),
             radius=float(ball["radius"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FileFormatError(f"bad fan file: {exc}") from None
+    if kind not in FAN_KINDS:
+        raise FileFormatError(f"bad kind field {kind!r}")
+    if len(angles) < 2:
+        raise FileFormatError("a fan needs at least two boundary angles")
     widen = data.get("widen")
     if widen is not None:
         widen = _numeric(widen, "widen")

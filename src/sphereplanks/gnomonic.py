@@ -16,12 +16,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import bodies as bd
 from .measure import (Estimate, VerificationReport, body_digest,
                       combined_stderr, mc_map, mean_width_mc)
-from .sphere import row_blocks, sample_uniform_sphere, sphere_area, \
+from .sphere import row_blocks, sample_sphere_batches, sphere_area, \
     unit_vector
 
 FRAME_TOL = 1e-12
@@ -163,7 +162,8 @@ def spherical_weight(n):
             s = np.asarray(s, dtype=float)
             return s * (3.0 + 2.0 * s * s) / (3.0 * (1.0 + s * s) ** 1.5)
     else:
-        F = _quadrature_cumulative(f)
+        def F(s):
+            return _cos_power_integral(n - 1, np.arctan(s))
     return WeightFunction(kind=f"spherical({n})", f=f, F=F)
 
 
@@ -180,13 +180,18 @@ def constant_weight(c=1.0):
     return WeightFunction(kind="constant", f=f, F=F)
 
 
-def _quadrature_cumulative(f):
-    def F(s):
-        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-        out = np.array([quad(lambda t: float(f(t)), 0.0, si, epsabs=QUAD_TOL)[0]
-                        for si in s_arr])
-        return out[0] if np.ndim(s) == 0 else out
-    return F
+def _cos_power_integral(m, x):
+    """int_0^x cos^m t dt, by the reduction I_m = cos^(m-1) x sin x / m
+    + (m-1)/m I_(m-2) from I_0 = x or I_1 = sin x.  With t = atan u,
+    ``_cos_power_integral(n - 1, atan s)`` is int_0^s (1+u^2)^(-(n+1)/2)."""
+    if m < 0:
+        raise ValueError(f"need a power m >= 0, got {m}")
+    x = np.asarray(x, dtype=float)
+    c, s = np.cos(x), np.sin(x)
+    out = x if m % 2 == 0 else s
+    for k in range(2 + m % 2, m + 1, 2):
+        out = c ** (k - 1) * s / k + (k - 1) / k * out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -262,11 +267,17 @@ def _uf_mc(poly, w, samples, seed, threads):
     n = poly.n
     samples = 1_000_000 if samples is None else samples
 
-    def draw(rng, size):
-        vals = _uf_integrand(poly, w, sample_uniform_sphere(n - 1, rng, size))
-        return float(np.sum(vals)), float(np.sum(vals * vals))
+    def draw(rngs, sizes):
+        dirs = sample_sphere_batches(n - 1, rngs, sizes)
+        # The integrand and its sums batch by batch: OpenBLAS rounds a
+        # batch's last few products differently inside a longer product.
+        vals = (_uf_integrand(poly, w, d)
+                for d in np.split(dirs, np.cumsum(sizes)[:-1]))
+        return [(float(np.sum(v)), float(np.sum(v * v))) for v in vals]
 
-    s1, s2 = map(math.fsum, zip(*mc_map(draw, samples, seed, threads)))
+    sums = [pair for chunk in mc_map(draw, samples, seed, threads)
+            for pair in chunk]
+    s1, s2 = map(math.fsum, zip(*sums))
     mean = s1 / samples
     var = max(0.0, s2 / samples - mean * mean)
     mu = sphere_area(n - 1)

@@ -17,7 +17,8 @@ from scipy.integrate import quad
 
 from .gnomonic import EuclideanPolytope, uf
 from .measure import Estimate, VerificationReport, mc_map
-from .sphere import make_stream, sample_uniform_sphere, sphere_area
+from .sphere import (make_stream, sample_sphere_batches,
+                     sample_uniform_sphere, sphere_area)
 
 SEB_TOL = 1e-10
 QUAD_TOL = 1e-10
@@ -200,8 +201,8 @@ def sample_spherical_image(s, j, samples, seed, threads=1):
     """
     ej = s.vertices[j] / s.R
 
-    def draw(rng, size):
-        dirs = sample_uniform_sphere(s.n - 1, rng, size=size)
+    def draw(rngs, sizes):
+        dirs = sample_sphere_batches(s.n - 1, rngs, sizes)
         # Fold onto D_j; preserves uniformity on the half-sphere.
         dirs *= np.where(dirs @ ej >= 0.0, 1.0, -1.0)[:, None]
         return dirs[normal_cone_membership(s, j, dirs)]
@@ -245,9 +246,9 @@ def uf_via_images(s, w, samples=200_000, seed=0, threads=1):
     Independent route for the chain identity: each direction contributes
     F(<v_j, u>) for the vertex whose normal cone it falls in.
     """
-    def draw(rng, size):
-        dirs = sample_uniform_sphere(s.n - 1, rng, size=size)
-        vals = np.zeros(size)
+    def draw(rngs, sizes):
+        dirs = sample_sphere_batches(s.n - 1, rngs, sizes)
+        vals = np.zeros(dirs.shape[0])
         for j in range(s.k + 1):
             mask = np.asarray(normal_cone_membership(s, j, dirs))
             h = np.clip(dirs[mask] @ s.vertices[j], 0.0, None)

@@ -4,11 +4,14 @@ polarity identity and the volume-inradius bound.
 
 The engine splits the sample budget over a fixed number of Philox
 streams, so results are bit-reproducible for a given (seed, samples)
-at any thread count.  Acceptance everywhere is the 3-sigma rule.
+at any thread count.  Small batches are drawn and evaluated together in
+chunks, so each numpy call gets enough work to run without the GIL for a
+while.  Acceptance everywhere is the 3-sigma rule.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -17,11 +20,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bodies as bd
-from .sphere import make_stream, sample_uniform_sphere, sphere_area
+from .sphere import make_stream, sample_sphere_batches, sphere_area
+# Bound here too: verifybench's tracer wraps it in this module.
+from .sphere import sample_uniform_sphere  # noqa: F401
 
 #: Batches every Monte Carlo run is split into; fixed, so that results do
 #: not depend on how many workers execute them.
 N_BATCHES = 64
+#: Most points a chunk of consecutive batches holds; a larger batch is a
+#: chunk on its own.
+CHUNK_POINTS = 1 << 14
 DEFAULT_SAMPLES = {2: 1_000_000, 3: 1_000_000, 4: 4_000_000}
 
 
@@ -87,31 +95,55 @@ def _batch_sizes(samples):
     return [base + (1 if i < rem else 0) for i in range(N_BATCHES)]
 
 
-def mc_map(draw, samples, seed, threads=1):
-    """``[draw(rng, size)]`` over the nonempty batches, in batch order.
+def _chunks(samples):
+    """The nonempty ``(batch, size)`` pairs, grouped greedily into runs of
+    consecutive batches with at most CHUNK_POINTS points (or one batch)."""
+    chunks, held = [], CHUNK_POINTS
+    for batch, size in enumerate(_batch_sizes(samples)):
+        if not size:
+            continue
+        if held + size > CHUNK_POINTS:
+            chunks.append([])
+            held = 0
+        chunks[-1].append((batch, size))
+        held += size
+    return chunks
 
-    Batch ``b`` draws from ``make_stream(seed, (b,))``, so the results
-    depend only on (seed, samples), never on ``threads``.
+
+@functools.cache
+def _pool(threads):
+    """One worker pool per thread count, made on first use and kept."""
+    return ThreadPoolExecutor(max_workers=threads)
+
+
+def mc_map(draw, samples, seed, threads=1):
+    """``[draw(rngs, sizes)]`` over the chunks, in batch order.
+
+    Batch ``b`` holds ``size`` points drawn from ``make_stream(seed, (b,))``;
+    a chunk passes the streams and sizes of its batches in one call.
+    Chunks depend only on ``samples``, so the results depend only on
+    (seed, samples), never on ``threads``.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    jobs = [(b, size) for b, size in enumerate(_batch_sizes(samples)) if size]
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
 
-    def run(job):
-        batch, size = job
-        return draw(make_stream(seed, (batch,)), size)
+    def run(chunk):
+        return draw([make_stream(seed, (batch,)) for batch, _ in chunk],
+                    [size for _, size in chunk])
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(run, jobs))
-    return [run(job) for job in jobs]
+    chunks = _chunks(samples)
+    if threads > 1 and len(chunks) > 1:
+        return list(_pool(threads).map(run, chunks))
+    return [run(chunk) for chunk in chunks]
 
 
 def mc_hit_fraction(indicator, n, samples, seed, threads=1):
     """``(hits, total)`` of ``indicator``, which maps an (m, n+1) array of
     uniform points on S^n to a boolean array."""
-    def draw(rng, size):
-        pts = sample_uniform_sphere(n, rng, size)
+    def draw(rngs, sizes):
+        pts = sample_sphere_batches(n, rngs, sizes)
         return int(np.count_nonzero(indicator(pts)))
 
     return sum(mc_map(draw, samples, seed, threads)), int(samples)

@@ -115,21 +115,52 @@ def sample_uniform_sphere(n, rng, size=None):
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     m = 1 if size is None else int(size)
-    g = rng.standard_normal((m, n + 1))
+    g = _to_sphere(rng.standard_normal((m, n + 1)), [rng], [m])
+    return g[0] if size is None else g
+
+
+def sample_sphere_batches(n, rngs, sizes):
+    """The points ``sample_uniform_sphere(n, rngs[i], sizes[i])`` gives,
+    stacked in order: one Gaussian fill per batch, one normalising pass."""
+    if n < 1:
+        raise ValueError(f"dimension must be >= 1, got {n}")
+    ends = np.cumsum(sizes)
+    g = np.empty((int(ends[-1]), n + 1))
+    for rng, start, end in zip(rngs, ends - sizes, ends):
+        rng.standard_normal(out=g[start:end])
+    return _to_sphere(g, rngs, sizes)
+
+
+def _to_sphere(g, rngs, sizes):
+    """Divide the rows of ``g`` by their norms, in place; a zero row in the
+    ``i``-th run of ``sizes[i]`` rows is redrawn from ``rngs[i]``."""
     while True:
         # Row sums of squares column by column: the additions, in order,
         # that np.linalg.norm(g, axis=1) makes, without its reduction over
         # the short last axis.
         sq = g[:, 0] * g[:, 0]
-        for j in range(1, n + 1):
+        for j in range(1, g.shape[1]):
             sq += g[:, j] * g[:, j]
         # Resample the (measure-zero) zero draws rather than dividing by 0.
         bad = sq == 0.0
         if not np.any(bad):
             break
-        g[bad] = rng.standard_normal((int(bad.sum()), n + 1))
+        ends = np.cumsum(sizes)
+        for rng, start, end in zip(rngs, ends - sizes, ends):
+            rows = start + np.flatnonzero(bad[start:end])
+            if rows.size:
+                g[rows] = rng.standard_normal((rows.size, g.shape[1]))
     g /= np.sqrt(sq)[:, None]
-    return g[0] if size is None else g
+    return g
+
+
+def sample_cap_batches(cap, rngs, sizes):
+    """The points ``sample_uniform_cap(cap, rngs[i], sizes[i])`` gives,
+    stacked in order; a full-sphere cap is normalised in one pass."""
+    if cap.radius >= math.pi:
+        return sample_sphere_batches(cap.n, rngs, sizes)
+    return np.concatenate([sample_uniform_cap(cap, rng, size)
+                           for rng, size in zip(rngs, sizes)])
 
 
 def sample_uniform_cap(cap, rng, size=None):

@@ -327,8 +327,8 @@ def test_bad_linhart_ball_exits_2(argv, capsys):
     assert "need radius R > 0 and dimension n >= 1" in capsys.readouterr().err
 
 
-def test_verify_prop_in_dimension_5_uses_the_quadrature_weight():
-    # spherical(5) has no closed-form F, so its cumulative is integrated.
+def test_verify_prop_in_dimension_5_uses_the_spherical_weight():
+    # spherical(5) takes F from the cos-power reduction formula.
     code, out = run_cli(["verify-prop", "--dim", "5", "--weight",
                          "spherical", "--trials", "2", "--samples", "2000"])
     assert code == 0
@@ -386,3 +386,68 @@ def test_reports_are_byte_identical_across_threads_on_many_facets(tmp_path):
                          "--out", str(path)]) == 0
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["volume", "{octant}"], ["verify-thm1", "{hemi_fan}"],
+    ["verify-linhart", "--simplex", "segment"],
+    ["verify-prop", "--dim", "2"],
+], ids=["volume", "verify-thm1", "verify-linhart", "verify-prop-quadrature"])
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_exit_2(argv, threads, octant_file, hemi_fan_file,
+                                  capsys):
+    argv = [a.format(octant=octant_file, hemi_fan=hemi_fan_file)
+            for a in argv]
+    assert main([*argv, "--samples", "1000", "--threads", threads]) == 2
+    assert f"threads must be >= 1, got {threads}" in capsys.readouterr().err
+
+
+@pytest.fixture
+def cap40_s4_file(tmp_path):
+    path = tmp_path / "cap40.json"
+    assert main(["gen-body", "--kind", "cap", "--dim", "4", "--vertices",
+                 "40", "--seed", "7", "--out", str(path)]) == 0
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-thm1", "{hemi_fan}", "--samples", "7777"],
+    ["verify-linhart", "--simplex", "random", "--dim", "3"],
+    ["verify-projection", "{cap40}", "--samples", "23456"],
+], ids=["verify-thm1-hemisphere", "verify-linhart-random-S3",
+        "verify-projection-cap40-S4"])
+def test_reports_are_byte_identical_across_threads_in_merged_chunks(
+        argv, hemi_fan_file, cap40_s4_file, tmp_path):
+    """Sample counts whose batches are merged into chunks: all 64 in one
+    at 7,777 samples, 5 per chunk at the Linhart default of 200,000, 44
+    per chunk at 23,456."""
+    argv = [a.format(hemi_fan=hemi_fan_file, cap40=cap40_s4_file)
+            for a in argv]
+    outs = set()
+    for threads in ("1", "2", "3"):
+        path = tmp_path / f"rep{threads}.json"
+        assert main(argv + ["--seed", "12", "--threads", threads,
+                            "--out", str(path)]) == 0
+        outs.add(path.read_bytes())
+    assert len(outs) == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gen-fan", "--dim", "1000000", "--gaps", "pi,pi"],
+     "fans need a dimension from 1 to 4, got 1000000"),
+    (["gen-fan", "--dim", "0", "--gaps", "pi,pi"],
+     "fans need a dimension from 1 to 4, got 0"),
+    (["gen-body", "--kind", "octant", "--dim", "1000000"],
+     "gen-body needs --dim from 1 to 4, got 1000000"),
+    (["gen-body", "--kind", "lune", "--dim", "1000000"],
+     "gen-body needs --dim from 1 to 4, got 1000000"),
+    (["gen-body", "--kind", "lune", "--dim", "0"],
+     "gen-body needs --dim from 1 to 4, got 0"),
+    (["gen-body", "--kind", "random", "--dim", "5"],
+     "gen-body needs --dim from 1 to 4, got 5"),
+], ids=["fan-huge", "fan-0", "octant-huge", "lune-huge", "lune-0",
+        "random-5"])
+def test_dimensions_outside_cone_conversion_exit_2(argv, message, capsys):
+    # Refused before anything of the dimension's size is allocated.
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err

@@ -1,14 +1,17 @@
 """Instance files: symbolic angles, body/fan serialization round trips."""
 
+import contextlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sphereplanks import make_stream, octant_body, random_body, random_lune
+from sphereplanks.cli import main
 from sphereplanks.covering import make_hemisphere_fan, make_lune_fan
 from sphereplanks.files import (FileFormatError, body_from_dict, body_to_dict,
                                 fan_from_dict, fan_to_dict, load_body,
@@ -137,3 +140,92 @@ def test_fan_dict_validation():
     with pytest.raises(FileFormatError):
         fan_from_dict({"dim": 2, "boundary_angles": angles,
                        "ball": {"radius": 1.0}})
+
+
+# ---------------------------------------------------------------------------
+# Loader fuzz through the CLI: malformed JSON exits 2, never a traceback
+# ---------------------------------------------------------------------------
+
+_DIMS = st.one_of(st.integers(-2, 5), st.integers(-2, 10 ** 30))
+_SCALARS = st.one_of(st.none(), st.booleans(), _DIMS, st.floats(),
+                     st.text(max_size=5),
+                     st.sampled_from(["pi/2", "nan", "H", "V", "both",
+                                      "lune-fan", "hemisphere-fan"]))
+_JSON = st.recursive(_SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=4),
+    st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=10)
+_ROWS = st.lists(st.lists(st.one_of(st.floats(-2.0, 2.0), _SCALARS),
+                          max_size=5), max_size=4)
+_ANGLES = st.lists(st.one_of(
+    st.floats(-7.0, 7.0), _SCALARS,
+    st.sampled_from([0.0, math.pi / 2, math.pi, 2 * math.pi])), max_size=5)
+_BODY_FILES = st.one_of(_JSON, st.fixed_dictionaries({}, optional={
+    "dim": st.one_of(_DIMS, _SCALARS),
+    "rep": st.one_of(st.sampled_from(["H", "V", "both"]), _JSON),
+    "normals": st.one_of(_ROWS, _JSON),
+    "generators": st.one_of(_ROWS, _JSON),
+    "tags": st.one_of(st.fixed_dictionaries({}, optional={
+        "tag": _SCALARS, "lune_angle": _SCALARS}), _JSON)}))
+_FAN_FILES = st.one_of(_JSON, st.fixed_dictionaries({}, optional={
+    "dim": st.one_of(_DIMS, _SCALARS),
+    "kind": st.one_of(st.sampled_from(["lune-fan", "perturbed-fan",
+                                       "hemisphere-fan"]), _SCALARS),
+    "boundary_angles": st.one_of(_ANGLES, _JSON),
+    "widen": st.one_of(st.floats(-1.0, 1.0), _ANGLES, _JSON),
+    "ball": st.one_of(st.fixed_dictionaries({}, optional={
+        "center": st.one_of(_ROWS, st.lists(st.floats(-1.0, 1.0),
+                                            max_size=5), _JSON),
+        "radius": _SCALARS}), _JSON)}))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def _exit_code(path, data, argv):
+    path.write_text(json.dumps(data))
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=_BODY_FILES)
+def test_fuzzed_body_files_exit_2_or_load(fuzz_dir, data):
+    path = fuzz_dir / "body.json"
+    for argv in (["circumradius", str(path)],
+                 ["volume", str(path), "--samples", "64"]):
+        code = _exit_code(path, data, argv)
+        assert code in (0, 2)
+        if not isinstance(data, dict) or "dim" not in data:
+            assert code == 2
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=_FAN_FILES)
+def test_fuzzed_fan_files_exit_2_or_load(fuzz_dir, data):
+    path = fuzz_dir / "fan.json"
+    code = _exit_code(path, data, ["verify-thm1", str(path),
+                                   "--samples", "64"])
+    assert code in (0, 1, 2)  # 1: a loaded fan that does not cover
+    if not isinstance(data, dict) or "boundary_angles" not in data:
+        assert code == 2
+
+
+@pytest.mark.parametrize("verb, data", [
+    ("circumradius", {"dim": math.inf, "rep": "H", "normals": [[0, 0, -1]]}),
+    ("verify-thm1", {"dim": math.inf, "boundary_angles": [0, math.pi]}),
+    ("verify-thm1", {"dim": 2, "boundary_angles": []}),
+    ("verify-thm1", {"dim": 2, "kind": [1],
+                     "boundary_angles": [0, math.pi, 2 * math.pi]}),
+    ("verify-thm1", {"dim": 10 ** 6,
+                     "boundary_angles": [0, math.pi, 2 * math.pi]}),
+], ids=["body-infinite-dim", "fan-infinite-dim", "fan-no-angles",
+        "fan-list-kind", "fan-huge-dim"])
+def test_fuzz_findings_exit_2(verb, data, tmp_path):
+    path = tmp_path / "f.json"
+    assert _exit_code(path, data, [verb, str(path)]) == 2

@@ -308,3 +308,13 @@ def test_projection_report_states_both_sample_counts():
     d = rep.to_dict()
     assert d["samples"] == default_samples(4) == 4_000_000
     assert d["flat_samples"] == 1_000_000
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
+def test_spherical_weight_F_matches_quadrature_above_dimension_4(n):
+    w = spherical_weight(n)
+    s = np.array([0.0, 1e-6, 0.1, 0.5, 1.0, 2.0, 7.5, 40.0, 1e4])
+    ref = [quad(lambda t: float(w.f(t)), 0.0, x, epsabs=1e-14,
+                epsrel=1e-13, limit=200)[0] for x in s]
+    assert np.allclose(w.F(s), ref, rtol=1e-13, atol=1e-15)
+    assert float(w.F(0.5)) == pytest.approx(ref[3], rel=1e-13)

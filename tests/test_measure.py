@@ -1,6 +1,8 @@
 """Monte Carlo estimators and the two sphere-side verifiers."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -8,8 +10,17 @@ import pytest
 from sphereplanks import (cap_area, check_identity_2_1, make_body,
                           make_stream, mean_width_mc, octant_body, polar,
                           random_body, random_lune, verify_thm2, volume_mc)
-from sphereplanks.measure import Estimate, combined_stderr
+from sphereplanks import measure
+from sphereplanks.cli import main
+from sphereplanks.covering import (CoveringInstance, check_covering,
+                                   make_lune_fan)
+from sphereplanks.gnomonic import (circumcenter_frame, project_body,
+                                   spherical_weight, uf)
+from sphereplanks.linhart import random_simplex, sample_spherical_image
+from sphereplanks.measure import (CHUNK_POINTS, N_BATCHES, Estimate,
+                                  combined_stderr, mc_map)
 from sphereplanks.randgen import cap_polytope
+from sphereplanks.sphere import sample_sphere_batches, sample_uniform_sphere
 
 N = 300_000
 
@@ -142,3 +153,125 @@ def test_report_dict_shape():
     for key in ("claim", "lhs", "rhs", "slack", "tolerance",
                 "tolerance_rule", "pass", "inputs_digest"):
         assert key in d
+
+
+# ---------------------------------------------------------------------------
+# The engine: chunks of batches, and one pool per thread count
+# ---------------------------------------------------------------------------
+
+ENGINE_SAMPLES = [1, 63, 64, 7_777, 100_000, 200_001]
+CHUNK_SETTINGS = [1, CHUNK_POINTS, 1 << 30]  # a batch each, default, one
+
+
+@pytest.mark.parametrize("samples", ENGINE_SAMPLES)
+def test_chunks_are_runs_of_consecutive_batches(samples):
+    chunks = measure._chunks(samples)
+    flat = [pair for chunk in chunks for pair in chunk]
+    assert flat == [(b, size) for b, size in
+                    enumerate(measure._batch_sizes(samples)) if size]
+    for chunk in chunks:
+        held = sum(size for _, size in chunk)
+        assert held <= CHUNK_POINTS or len(chunk) == 1
+    # Greedy: no chunk could have taken the next one's first batch.
+    for chunk, after in zip(chunks, chunks[1:]):
+        assert sum(size for _, size in chunk) + after[0][1] > CHUNK_POINTS
+
+
+def test_spec_sample_sizes_keep_one_batch_per_chunk():
+    for samples in (1_000_000, 4_000_000):
+        assert [len(c) for c in measure._chunks(samples)] == [1] * N_BATCHES
+
+
+@pytest.mark.parametrize("samples", ENGINE_SAMPLES)
+def test_mc_map_points_do_not_depend_on_chunks_or_threads(samples,
+                                                          monkeypatch):
+    # The contract: batch b's points are sample_uniform_sphere on stream
+    # (seed, b), whatever the chunks and the workers.
+    ref = np.concatenate([
+        sample_uniform_sphere(2, make_stream(5, (b,)), size)
+        for b, size in enumerate(measure._batch_sizes(samples)) if size])
+    for chunk_points in CHUNK_SETTINGS:
+        monkeypatch.setattr(measure, "CHUNK_POINTS", chunk_points)
+        for threads in (1, 2, 3):
+            parts = mc_map(lambda rngs, sizes:
+                           sample_sphere_batches(2, rngs, sizes),
+                           samples, 5, threads)
+            got = np.concatenate(parts)
+            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+def _engine_results(samples, threads):
+    """Reports of the samplers that reduce over chunks, batches or points."""
+    rng = make_stream(3)
+    body = cap_polytope(3, np.array([0.0, 0.0, 0.0, 1.0]), 0.9, rng=rng,
+                        n_vertices=24)  # many facets, 24 generators
+    poly = project_body(circumcenter_frame(body), body)
+    fan = make_lune_fan(2, np.linspace(0.0, 2.0 * math.pi, 5))
+    gapped = CoveringInstance(B=fan.B, bodies=fan.bodies[1:])
+    simplex = random_simplex(1.0, 3, make_stream(2))
+    accepted, _ = sample_spherical_image(simplex, 1, samples, 6, threads)
+    return (volume_mc(body, samples=samples, seed=1, threads=threads),
+            mean_width_mc(body, samples=samples, seed=2, threads=threads),
+            uf(poly, spherical_weight(3), samples=samples, seed=3,
+               threads=threads),
+            check_covering(gapped, samples=samples, seed=4,
+                           threads=threads).to_dict(),
+            accepted.tobytes())
+
+
+@pytest.mark.parametrize("samples", [64, 7_777, 100_000])
+def test_verifier_results_do_not_depend_on_chunks_or_threads(samples,
+                                                             monkeypatch):
+    ref = None
+    for chunk_points in CHUNK_SETTINGS:
+        monkeypatch.setattr(measure, "CHUNK_POINTS", chunk_points)
+        for threads in (1, 2, 3):
+            got = _engine_results(samples, threads)
+            ref = got if ref is None else ref
+            assert got == ref
+
+
+def test_mc_map_rejects_threads_below_one():
+    for threads in (0, -3):
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            mc_map(lambda rngs, sizes: 0, 100, 0, threads)
+
+
+def test_pool_is_made_once_per_thread_count(tmp_path):
+    fan = tmp_path / "fan.json"
+    assert main(["gen-fan", "--dim", "2", "--gaps", "pi/2,pi/2,pi/2,pi/2",
+                 "--widen", "0.02", "--out", str(fan)]) == 0
+    argv = ["verify-thm1", str(fan), "--samples", "100000", "--threads", "2",
+            "--out", str(tmp_path / "rep.json")]
+    assert len(measure._chunks(100_000)) > 1  # so the pool is used
+    assert main(argv) == 0
+    before = threading.active_count()
+    for _ in range(20):
+        assert main(argv) == 0
+    assert threading.active_count() == before
+    assert measure._pool(2) is measure._pool(2)
+
+
+def test_concurrent_callers_share_the_pool():
+    # Four caller threads on one two-worker pool, with a short switch
+    # interval; each must get the serial result.
+    body = random_body(3, make_stream(13))
+    want = volume_mc(body, samples=100_000, seed=5)
+    got = [None] * 4
+
+    def call(i):
+        got[i] = volume_mc(body, samples=100_000, seed=5, threads=2)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        callers = [threading.Thread(target=call, args=(i,))
+                   for i in range(4)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert got == [want] * 4

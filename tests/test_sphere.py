@@ -7,6 +7,7 @@ import pytest
 
 from sphereplanks.sphere import (CAP_ROUND_DRAWS, UNIT_TOL, SphericalCap,
                                  cap_area, geodesic_distance, make_stream,
+                                 sample_cap_batches, sample_sphere_batches,
                                  sample_uniform_cap, sample_uniform_sphere,
                                  sphere_area)
 
@@ -173,6 +174,46 @@ def test_uniform_sphere_resamples_zero_rows(zero_draws):
     assert np.all(np.isfinite(pts))
     assert np.array_equal(pts, g[:5] / np.linalg.norm(g[:5], axis=1,
                                                       keepdims=True))
+
+
+class _ZeroFirstFillRng:
+    """Philox stream whose first ``zero_draws`` Gaussian fills or draws
+    start with an all-zero row; takes a shape or an ``out=`` array."""
+
+    def __init__(self, seed, zero_draws):
+        self.rng = make_stream(seed)
+        self.zero_draws = zero_draws
+
+    def standard_normal(self, shape=None, out=None):
+        g = self.rng.standard_normal(shape, out=out)
+        if self.zero_draws:
+            self.zero_draws -= 1
+            g[0] = 0.0
+        return g
+
+
+@pytest.mark.parametrize("zeros", [(1, 0, 0), (0, 2, 0), (1, 1, 2)])
+def test_batch_sampler_resamples_zero_rows_from_their_own_stream(zeros):
+    sizes = [5, 3, 4]
+    got = sample_sphere_batches(
+        2, [_ZeroFirstFillRng(s, z) for s, z in zip((8, 9, 10), zeros)],
+        sizes)
+    ref = np.concatenate([
+        sample_uniform_sphere(2, _ZeroFirstFillRng(s, z), size=m)
+        for s, z, m in zip((8, 9, 10), zeros, sizes)])
+    assert np.all(np.isfinite(got))
+    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+@pytest.mark.parametrize("radius", [math.pi, math.pi / 2, 1.0])
+def test_batch_samplers_stack_the_one_batch_samplers(radius):
+    sizes = [1, 700, 3, 1563]
+    cap = SphericalCap(center=np.array([0.0, 0.6, 0.0, 0.8]), radius=radius)
+    got = sample_cap_batches(cap, [make_stream(4, (b,)) for b in range(4)],
+                             sizes)
+    ref = np.concatenate([sample_uniform_cap(cap, make_stream(4, (b,)), m)
+                          for b, m in enumerate(sizes)])
+    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
 @pytest.mark.parametrize("n,radius,m", [
