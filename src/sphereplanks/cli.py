@@ -116,6 +116,9 @@ def cmd_gen_body(args):
         angle = files.parse_angle(args.angle) if args.angle else None
         body = random_lune(args.dim, rng, angle=angle)
     elif args.kind == "cap":
+        # The vertex ring is sampled on S^(n-1), which needs n >= 2.
+        if args.dim < 2:
+            raise ValueError(f"cap polytopes need --dim >= 2, got {args.dim}")
         radius = files.parse_angle(args.cap_radius)
         center = np.zeros(args.dim + 1)
         center[-1] = 1.0

@@ -16,7 +16,6 @@ Two primitives drive everything else:
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 DEDUP_TOL = 1e-9
 #: Largest ambient dimension d = n + 1 that cone conversion supports.
@@ -121,23 +120,37 @@ def max_min_inner(points):
 def dedup_rows(rows, tol=DEDUP_TOL):
     """Drop rows that lie within ``tol`` of an earlier kept row.
 
-    Greedy in row order.  A k-d tree finds the candidate pairs, so memory
-    stays O(m) plus the number of near pairs, and only those pairs are
-    visited one by one.
+    Greedy in row order, by a sort sweep: rows within ``tol`` of each other
+    project within ``tol`` of each other on any unit direction, so a row is
+    measured only against the earlier kept rows in its projection window,
+    and only rows with another row in their window are visited.  Memory
+    stays O(m) whatever the number of near pairs.
     """
     X = np.atleast_2d(np.asarray(rows, dtype=float))
-    # The tree's radius is doubled so that its own distance rounding cannot
+    proj = X @ sweep_direction(X.shape[1])
+    order = np.argsort(proj, kind="stable")
+    proj = proj[order]
+    # The window is doubled so that the projections' own rounding cannot
     # miss a pair; the norm below decides, as the greedy definition does.
-    i, j = cKDTree(X).query_pairs(2.0 * tol, output_type="ndarray").T
-    near = np.linalg.norm(X[i] - X[j], axis=1) <= tol
-    i, j = i[near], j[near]
+    lo = np.searchsorted(proj, proj - 2.0 * tol, side="left")
+    hi = np.searchsorted(proj, proj + 2.0 * tol, side="right")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.shape[0])
     keep = np.ones(X.shape[0], dtype=bool)
-    # Ascending in the later row, so every earlier row's fate is settled.
-    order = np.lexsort((i, j))
-    for a, b in zip(i[order], j[order]):
-        if keep[a]:
-            keep[b] = False
+    for j in np.flatnonzero((hi - lo > 1)[rank]):
+        near = order[lo[rank[j]]:hi[rank[j]]]
+        near = near[(near < j) & keep[near]]
+        if np.any(np.linalg.norm(X[near] - X[j], axis=1) <= tol):
+            keep[j] = False
     return X[keep]
+
+
+def sweep_direction(d):
+    """The unit direction ``dedup_rows`` sorts along: (sin 1, ..., sin d),
+    normalised.  Its coordinates have no rational linear relation, so rows
+    that differ in a few coordinates still project apart."""
+    u = np.sin(np.arange(1.0, d + 1.0))
+    return u / np.linalg.norm(u)
 
 
 def cone_generators(normals):
@@ -170,6 +183,9 @@ def cone_generators(normals):
     Ap = A @ Q
 
     if rank >= 3:
+        # Deferred: only this branch needs Qhull, and scipy.spatial is most
+        # of the package's import time.
+        from scipy.spatial import ConvexHull, QhullError
         try:
             eq = ConvexHull(np.vstack([np.zeros(rank), Ap])).equations
         except QhullError as exc:

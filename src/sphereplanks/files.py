@@ -146,9 +146,16 @@ def fan_from_dict(data):
         raise FileFormatError(f"bad kind field {kind!r}")
     if len(angles) < 2:
         raise FileFormatError("a fan needs at least two boundary angles")
+    if cap is not None and cap.n != n:
+        raise FileFormatError(f"bad ball center: {cap.n + 1} entries, "
+                              f"expected dim + 1 = {n + 1}")
     widen = data.get("widen")
     if widen is not None:
         widen = _numeric(widen, "widen")
+        if widen.ndim and widen.shape != (len(angles) - 1,):
+            raise FileFormatError(
+                f"bad widen: shape {widen.shape}, expected one number or "
+                f"one per lune ({len(angles) - 1})")
     if kind == "hemisphere-fan":
         return make_hemisphere_fan(n, angles, widen=widen)
     return make_lune_fan(n, angles, widen=widen, ball=cap)

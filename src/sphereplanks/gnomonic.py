@@ -20,8 +20,8 @@ import numpy as np
 from . import bodies as bd
 from .measure import (Estimate, VerificationReport, body_digest,
                       combined_stderr, mc_map, mean_width_mc)
-from .sphere import row_blocks, sample_sphere_batches, sphere_area, \
-    unit_vector
+from .sphere import gauss_legendre, row_blocks, sample_sphere_batches, \
+    sphere_area, unit_vector
 
 FRAME_TOL = 1e-12
 EQUATOR_TOL = 1e-9
@@ -251,7 +251,7 @@ def _uf_quadrature_2d(poly, w, seed):
                 angles += [a + math.pi / 2.0, a - math.pi / 2.0]
     pts = np.unique(np.mod(np.array(angles), 2.0 * math.pi))
     pts = np.concatenate([pts, [2.0 * math.pi]])
-    nodes, weights = np.polynomial.legendre.leggauss(20)
+    nodes, weights = gauss_legendre(20)
     a = pts[:-1][:, None]
     b = pts[1:][:, None]
     theta = (a + b) / 2.0 + (b - a) / 2.0 * nodes[None, :]

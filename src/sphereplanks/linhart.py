@@ -13,15 +13,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .gnomonic import EuclideanPolytope, uf
 from .measure import Estimate, VerificationReport, mc_map
-from .sphere import (make_stream, sample_sphere_batches,
+from .sphere import (integrate, make_stream, sample_sphere_batches,
                      sample_uniform_sphere, sphere_area)
 
 SEB_TOL = 1e-10
-QUAD_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -175,15 +173,9 @@ def constant_C(R, w, n):
             / int_0^{pi/2} sin^{n-2} phi dphi
     """
     _check_ball(R, n)
-
-    def num(phi):
-        return float(w.F(R * math.cos(phi))) * math.sin(phi) ** (n - 2)
-
-    def den(phi):
-        return math.sin(phi) ** (n - 2)
-
-    top, _ = quad(num, 0.0, math.pi / 2.0, epsabs=QUAD_TOL)
-    bot, _ = quad(den, 0.0, math.pi / 2.0, epsabs=QUAD_TOL)
+    top = integrate(lambda phi: w.F(R * np.cos(phi)) * np.sin(phi) ** (n - 2),
+                    0.0, math.pi / 2.0)
+    bot = integrate(lambda phi: np.sin(phi) ** (n - 2), 0.0, math.pi / 2.0)
     return top / bot
 
 

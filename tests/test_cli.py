@@ -451,3 +451,12 @@ def test_dimensions_outside_cone_conversion_exit_2(argv, message, capsys):
     # Refused before anything of the dimension's size is allocated.
     assert main(argv) == 2
     assert message in capsys.readouterr().err
+
+
+def test_cap_polytope_on_the_circle_exits_2(capsys):
+    # The vertex ring lives on S^(n-1): the message names --dim, not the
+    # ring's dimension 0.
+    assert main(["gen-body", "--kind", "cap", "--dim", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "cap polytopes need --dim >= 2, got 1" in err
+    assert "got 0" not in err

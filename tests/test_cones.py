@@ -12,6 +12,7 @@ from scipy.optimize import minimize
 
 from sphereplanks import cap_polytope, make_body, make_stream, polar
 from sphereplanks.cones import (DEDUP_TOL, cone_generators, dedup_rows,
+                                sweep_direction,
                                 max_min_inner, min_norm_point)
 
 
@@ -219,6 +220,74 @@ def test_dedup_rows_matches_greedy_loop(m, d, scale, seed):
         X = np.vstack([X, X[rng.integers(0, X.shape[0], size=m)] + step])
     X = rng.permutation(X)
     assert np.array_equal(dedup_rows(X), oracle_dedup_rows(X))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e3])
+@pytest.mark.parametrize("d", [1, 3, 5])
+def test_dedup_rows_exact_duplicates_and_scale(scale, d):
+    """Exact copies, and copies moved by just under and just over
+    DEDUP_TOL, of rows at unit scale and at scale 1e3, where the
+    projections carry the most rounding."""
+    rng = np.random.default_rng(d)
+    X = scale * rng.normal(size=(20, d))
+    step = rng.normal(size=(20, d))
+    step /= np.linalg.norm(step, axis=1, keepdims=True)
+    X = np.vstack([X, X[:5], X[5:10] + 0.9 * DEDUP_TOL * step[5:10],
+                   X[10:15] + 1.1 * DEDUP_TOL * step[10:15], X[:3]])
+    X = rng.permutation(X)
+    D = dedup_rows(X)
+    assert np.array_equal(D, oracle_dedup_rows(X))
+    assert D.shape[0] == 25
+
+
+def _on_one_projection(m, d, rng):
+    """Distinct rows whose projections on the sweep direction agree to
+    rounding: every pair is a candidate, the sweep's worst case."""
+    u = sweep_direction(d)
+    X = rng.normal(size=(m, d))
+    return X - np.outer(X @ u, u)
+
+
+def test_dedup_rows_on_one_projection_matches_greedy_loop():
+    rng = np.random.default_rng(11)
+    X = _on_one_projection(150, 4, rng)
+    u = sweep_direction(4)
+    step = _on_one_projection(150, 4, rng)
+    step *= DEDUP_TOL / np.linalg.norm(step, axis=1, keepdims=True)
+    for factor in (0.5, 0.99, 1.01):
+        X = np.vstack([X, X[rng.integers(0, 150, size=50)]
+                       + factor * step[:50]])
+    X = rng.permutation(X)
+    assert np.ptp(X @ u) < 1e-12
+    assert np.array_equal(dedup_rows(X), oracle_dedup_rows(X))
+
+
+@pytest.mark.parametrize("copies", [False, True], ids=["distinct", "copies"])
+def test_dedup_rows_on_one_projection_has_bounded_memory(copies):
+    """2,000 rows on one projection: distinct rows give about 2e6
+    candidate pairs, and 2,000 copies of one row about 2e6 near pairs.
+    Neither list may be built."""
+    import tracemalloc
+    rng = np.random.default_rng(12)
+    d = 3
+    if copies:
+        X = np.tile(_on_one_projection(1, d, rng), (2000, 1))
+        expect = X[:1]
+    else:
+        X = _on_one_projection(1900, d, rng)
+        step = _on_one_projection(100, d, rng)
+        step *= 0.5 * DEDUP_TOL / np.linalg.norm(step, axis=1, keepdims=True)
+        expect = X
+        X = np.vstack([X, X[:100] + step])
+    tracemalloc.start()
+    try:
+        D = dedup_rows(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(D, expect)
+    # All 2e6 pairs at once would take 2000 * 1999 / 2 * 16 bytes.
+    assert peak < 4e6
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])

@@ -229,3 +229,28 @@ def test_fuzzed_fan_files_exit_2_or_load(fuzz_dir, data):
 def test_fuzz_findings_exit_2(verb, data, tmp_path):
     path = tmp_path / "f.json"
     assert _exit_code(path, data, [verb, str(path)]) == 2
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"dim": 2, "boundary_angles": [0, math.pi, 2 * math.pi],
+      "ball": {"center": [0, 0, 1, 0], "radius": 3}},
+     "bad ball center: 4 entries, expected dim + 1 = 3"),
+    ({"dim": 2, "boundary_angles": [0, math.pi, 2 * math.pi],
+      "widen": [0.1, 0.1, 0.1]},
+     "bad widen: shape (3,), expected one number or one per lune (2)"),
+    ({"dim": 2, "kind": "hemisphere-fan",
+      "boundary_angles": [0, math.pi / 2, math.pi], "widen": [[0.1, 0.1]]},
+     "bad widen: shape (1, 2), expected one number or one per lune (2)"),
+], ids=["ball-center", "widen-list", "widen-nested"])
+def test_fan_field_lengths_exit_2_naming_the_field(data, message, tmp_path,
+                                                   capsys):
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(data))
+    assert main(["verify-thm1", str(path), "--samples", "64"]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_fan_scalar_widen_still_loads():
+    angles = [0, math.pi / 2, math.pi, 3 * math.pi / 2, 2 * math.pi]
+    inst = fan_from_dict({"dim": 2, "boundary_angles": angles, "widen": 0.1})
+    assert inst.metadata["fan"].widen.tolist() == [0.1] * 4

@@ -186,6 +186,20 @@ def test_constant_C_spherical_weight_oracle():
         constant_C(0.0, w, 2)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("kind", ["spherical", "constant"])
+def test_constant_C_matches_adaptive_quadrature(n, kind):
+    w = spherical_weight(n) if kind == "spherical" else constant_weight()
+    for R in (0.1, 0.37, 1.0, 1.7, 3.2, 5.0):
+        num, _ = quad(lambda p: float(w.F(R * math.cos(p)))
+                      * math.sin(p) ** (n - 2), 0.0, math.pi / 2,
+                      epsabs=0.0, epsrel=1e-13, limit=200)
+        den, _ = quad(lambda p: math.sin(p) ** (n - 2), 0.0, math.pi / 2,
+                      epsabs=0.0, epsrel=1e-13, limit=200)
+        assert constant_C(R, w, n) == pytest.approx(num / den, rel=1e-13,
+                                                    abs=0.0)
+
+
 def test_uf_lower_bound_values():
     # f = 1, n = 2: bound = 2pi * 2R/pi = 4R.
     assert uf_lower_bound(1.0, constant_weight(), 2) == \

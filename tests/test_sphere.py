@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from sphereplanks.sphere import (CAP_ROUND_DRAWS, UNIT_TOL, SphericalCap,
-                                 cap_area, geodesic_distance, make_stream,
+from sphereplanks.sphere import (CAP_ROUND_DRAWS, GL_NODES, UNIT_TOL,
+                                 SphericalCap, cap_area, gauss_legendre,
+                                 geodesic_distance, make_stream,
                                  sample_cap_batches, sample_sphere_batches,
                                  sample_uniform_cap, sample_uniform_sphere,
                                  sphere_area)
@@ -27,6 +28,62 @@ def test_sphere_area_rejects_bad_dimension():
 def test_sphere_area_matches_surface_integration(n):
     # Full cap of radius pi integrates the surface element over the sphere.
     assert cap_area(n, math.pi) == pytest.approx(sphere_area(n), abs=1e-9)
+
+
+def _x_minus_sin(x):
+    """x - sin x without cancellation: its Taylor series below 1."""
+    if x >= 1.0:
+        return x - math.sin(x)
+    term, total, k = x ** 3 / 6.0, 0.0, 3
+    while abs(term) > 1e-18 * x ** 3:
+        total += term
+        term *= -x * x / ((k + 1) * (k + 2))
+        k += 2
+    return total
+
+
+_CAP_CLOSED_FORMS = {
+    1: lambda r: 2.0 * r,
+    2: lambda r: 4.0 * math.pi * math.sin(r / 2.0) ** 2,
+    # 4 pi int_0^r sin^2 = pi (2r - sin 2r)
+    3: lambda r: math.pi * _x_minus_sin(2.0 * r),
+    # 2 pi^2 int_0^r sin^3 = 2 pi^2 (1 - cos r)^2 (2 + cos r) / 3
+    4: lambda r: 2.0 * math.pi ** 2 * (2.0 * math.sin(r / 2.0) ** 2) ** 2
+    * (2.0 + math.cos(r)) / 3.0,
+}
+_RADII = np.geomspace(1e-6, math.pi, 25)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_cap_area_matches_closed_forms(n):
+    for r in _RADII:
+        exact = _CAP_CLOSED_FORMS[n](r)
+        assert cap_area(n, r) == pytest.approx(exact, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
+def test_cap_area_matches_adaptive_quadrature(n):
+    from scipy.integrate import quad
+    for r in _RADII:
+        val, _ = quad(lambda t: math.sin(t) ** (n - 1), 0.0, r, epsabs=0.0,
+                      epsrel=1e-13, limit=200)
+        assert cap_area(n, r) == pytest.approx(sphere_area(n - 1) * val,
+                                               rel=1e-13, abs=0.0)
+
+
+def test_gauss_legendre_rule_is_made_once(monkeypatch):
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                        lambda k: calls.append(k) or leggauss(k))
+    gauss_legendre.cache_clear()
+    for r in _RADII:
+        cap_area(3, r)
+    assert calls == [GL_NODES]
+    x, w = gauss_legendre(GL_NODES)
+    assert gauss_legendre(GL_NODES)[0] is x
+    assert not x.flags.writeable and not w.flags.writeable
+    assert math.fsum(w) == pytest.approx(2.0, abs=1e-14)
 
 
 def test_geodesic_distance_examples():
