@@ -10,6 +10,7 @@ the report.  Exit codes: 0 = pass/success, 1 = verification failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -48,16 +49,24 @@ def _weight(name, n):
     raise files.FileFormatError(f"unknown weight {name!r}")
 
 
-def _estimate_dict(est):
-    return {"value": est.value, "stderr": est.stderr,
-            "samples": est.samples, "seed": est.seed,
-            "quantity": est.quantity}
+def _flatten(payload, prefix=""):
+    """The scalar entries of ``payload`` under dotted keys, descending into
+    nested dicts and lists of dicts; other lists are left out."""
+    flat = {}
+    for key, value in payload.items():
+        if isinstance(value, list):
+            value = {str(i): v for i, v in enumerate(value)
+                     if isinstance(v, dict)}
+        if isinstance(value, dict):
+            flat.update(_flatten(value, f"{prefix}{key}."))
+        elif isinstance(value, (int, float, bool, str)):
+            flat[prefix + key] = value
+    return flat
 
 
 def _emit(payload, args):
     if args.format == "csv":
-        flat = {k: v for k, v in payload.items()
-                if isinstance(v, (int, float, bool, str))}
+        flat = _flatten(payload)
         keys = sorted(flat)
         text = ",".join(keys) + "\n" + \
             ",".join(repr(flat[k]) if isinstance(flat[k], float)
@@ -90,13 +99,6 @@ def _mc(args):
         raise ValueError(f"threads must be >= 1, got {args.threads}")
     return {"samples": args.samples, "seed": args.seed,
             "threads": args.threads}
-
-
-def _report_payload(report, args):
-    out = report.to_dict()
-    out.setdefault("seed", args.seed)
-    out.setdefault("samples", args.samples)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -169,16 +171,21 @@ def cmd_polar(args):
     return 0, payload
 
 
-def cmd_volume(args):
-    body = files.load_body(args.body)
-    est = ms.volume_mc(body, **_mc(args))
-    return 0, _estimate_dict(est)
+# Handlers of the body verbs that print ``module.name(body, **mc)``: the
+# function is looked up on each call, so a wrapper installed later runs.
+
+def _body_estimate(module, name):
+    def cmd(args):
+        est = getattr(module, name)(files.load_body(args.body), **_mc(args))
+        return 0, dataclasses.asdict(est)
+    return cmd
 
 
-def cmd_meanwidth(args):
-    body = files.load_body(args.body)
-    est = ms.mean_width_mc(body, **_mc(args))
-    return 0, _estimate_dict(est)
+def _body_verdict(module, name):
+    def cmd(args):
+        rep = getattr(module, name)(files.load_body(args.body), **_mc(args))
+        return (0 if rep.passed else 1), rep.to_dict()
+    return cmd
 
 
 def cmd_uf(args):
@@ -187,27 +194,7 @@ def cmd_uf(args):
     poly = gn.project_body(frame, body)
     w = _weight(args.weight, body.n)
     est = gn.uf(poly, w, **_mc(args))
-    out = _estimate_dict(est)
-    out["weight"] = w.kind
-    return 0, out
-
-
-def cmd_verify_thm2(args):
-    body = files.load_body(args.body)
-    rep = ms.verify_thm2(body, **_mc(args))
-    return (0 if rep.passed else 1), _report_payload(rep, args)
-
-
-def cmd_verify_2_1(args):
-    body = files.load_body(args.body)
-    rep = ms.check_identity_2_1(body, **_mc(args))
-    return (0 if rep.passed else 1), _report_payload(rep, args)
-
-
-def cmd_verify_projection(args):
-    body = files.load_body(args.body)
-    rep = gn.check_projection_consistency(body, **_mc(args))
-    return (0 if rep.passed else 1), _report_payload(rep, args)
+    return 0, {**dataclasses.asdict(est), "weight": w.kind}
 
 
 def cmd_verify_thm1(args):
@@ -215,8 +202,7 @@ def cmd_verify_thm1(args):
     rep = cov.verify_thm1(inst, **_mc(args))
     anti = cov.verify_antipodal_argument(inst, **_mc(args))
     passed = rep.passed and anti.passed
-    payload = {"thm1": _report_payload(rep, args),
-               "antipodal": _report_payload(anti, args),
+    payload = {"thm1": rep.to_dict(), "antipodal": anti.to_dict(),
                "pass": passed}
     return (0 if passed else 1), payload
 
@@ -225,7 +211,7 @@ def cmd_verify_prop(args):
     w = _weight(args.weight, args.dim)
     rep = lh.min_uf_search(args.radius, w, n=args.dim, trials=args.trials,
                            **_mc(args))
-    return (0 if rep.passed else 1), _report_payload(rep, args)
+    return (0 if rep.passed else 1), rep.to_dict()
 
 
 def cmd_verify_linhart(args):
@@ -243,7 +229,7 @@ def cmd_verify_linhart(args):
                             threads=args.threads)
                for j in range(s.k + 1)]
     passed = all(r.passed for r in reports)
-    payload = {"vertices": [_report_payload(r, args) for r in reports],
+    payload = {"vertices": [r.to_dict() for r in reports],
                "pass": passed, "simplex": args.simplex,
                "weight": w.kind}
     return (0 if passed else 1), payload
@@ -291,11 +277,12 @@ def build_parser():
     for verb, func in (("inradius", cmd_inradius),
                        ("circumradius", cmd_circumradius),
                        ("polar", cmd_polar),
-                       ("volume", cmd_volume),
-                       ("meanwidth", cmd_meanwidth),
-                       ("verify-thm2", cmd_verify_thm2),
-                       ("verify-2-1", cmd_verify_2_1),
-                       ("verify-projection", cmd_verify_projection)):
+                       ("volume", _body_estimate(ms, "volume_mc")),
+                       ("meanwidth", _body_estimate(ms, "mean_width_mc")),
+                       ("verify-thm2", _body_verdict(ms, "verify_thm2")),
+                       ("verify-2-1", _body_verdict(ms, "check_identity_2_1")),
+                       ("verify-projection",
+                        _body_verdict(gn, "check_projection_consistency"))):
         p = sub.add_parser(verb)
         p.add_argument("body")
         _add_common(p)

@@ -66,9 +66,8 @@ def make_lune_fan(n, boundary_angles, widen=None, ball=None):
         raise ValueError("each lune must lie in a hemisphere (gap <= pi)")
     p, q = _fan_plane(n)
 
+    widen = _widths(widen, gaps.shape[0])
     if widen is not None:
-        widen = np.broadcast_to(np.asarray(widen, dtype=float),
-                                gaps.shape).copy()
         if np.any(gaps + widen > math.pi + ANGLE_TOL):
             raise ValueError("widened lune exceeds a hemisphere")
         if np.any(widen < 0.0):
@@ -102,9 +101,7 @@ def make_hemisphere_fan(n, boundary_angles, widen=None):
             or abs(angles[-1] - math.pi) > ANGLE_TOL:
         raise ValueError("boundary angles must increase from 0 to pi")
     p, q = _fan_plane(n)
-    m = gaps.shape[0]
-    if widen is not None:
-        widen = np.broadcast_to(np.asarray(widen, dtype=float), (m,)).copy()
+    widen = _widths(widen, gaps.shape[0])
     lunes = []
     for i, gap in enumerate(gaps):
         extra = 0.0 if widen is None else widen[i]
@@ -127,6 +124,15 @@ def _fan_plane(n):
         raise ValueError(f"fans need a dimension from 1 to "
                          f"{MAX_AMBIENT_DIM - 1}, got {n}")
     return np.eye(n + 1)[:2]
+
+
+def _widths(widen, m):
+    """``widen`` as one finite added angle per lune of ``m``, or None."""
+    if widen is not None:
+        widen = np.broadcast_to(np.asarray(widen, dtype=float), (m,)).copy()
+        if not np.all(np.isfinite(widen)):
+            raise ValueError(f"widening must be finite, got {widen.tolist()}")
+    return widen
 
 
 def _uncovered(bodies, pts, covered):
@@ -210,7 +216,8 @@ def verify_antipodal_argument(inst, samples=100_000, seed=0, threads=1):
             lhs=0.0, rhs=0.0, slack=0.0, tolerance=0.0,
             tolerance_rule="skipped: B' degenerates to a point for r(B) = pi",
             passed=True,
-            details={"skipped": True, "r_B": r_B},
+            details={"skipped": True, "r_B": r_B, "seed": seed,
+                     "samples": samples},
         )
     n = inst.B.n
     anti = SphericalCap(center=-inst.B.center, radius=math.pi - r_B)

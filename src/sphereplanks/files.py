@@ -105,15 +105,18 @@ def save_body(body, path):
         fh.write("\n")
 
 
-def load_body(path):
+def _read_json(path):
     with open(path) as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise FileFormatError(
                 f"{path}: line {exc.lineno}, col {exc.colno}: {exc.msg}"
             ) from None
-    return body_from_dict(data)
+
+
+def load_body(path):
+    return body_from_dict(_read_json(path))
 
 
 def fan_to_dict(inst):
@@ -162,11 +165,4 @@ def fan_from_dict(data):
 
 
 def load_fan(path):
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FileFormatError(
-                f"{path}: line {exc.lineno}, col {exc.colno}: {exc.msg}"
-            ) from None
-    return fan_from_dict(data)
+    return fan_from_dict(_read_json(path))

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bodies as bd
-from .measure import (Estimate, VerificationReport, body_digest,
-                      combined_stderr, mc_map, mean_width_mc)
+from .measure import (Estimate, body_digest, combined_stderr, mc_map,
+                      mean_width_mc, three_sigma)
 from .sphere import gauss_legendre, row_blocks, sample_sphere_batches, \
     sphere_area, unit_vector
 
@@ -294,14 +294,11 @@ def check_projection_consistency(body, samples=None, seed=0, threads=1):
     sphere_side = mean_width_mc(body, samples=samples, seed=seed,
                                 threads=threads)
     flat_side = uf(poly, w, samples=samples, seed=seed + 1, threads=threads)
-    tol = 3.0 * combined_stderr(sphere_side, flat_side)
-    slack = -abs(sphere_side.value - flat_side.value)
-    return VerificationReport(
-        claim="gnomonic_consistency",
-        lhs=sphere_side.value, rhs=flat_side.value, slack=slack,
-        tolerance=tol,
-        tolerance_rule="|U(K) - U_f(proj K)| <= 3 * combined stderr",
-        passed=slack >= -tol,
+    return three_sigma(
+        "gnomonic_consistency",
+        sphere_side.value, flat_side.value,
+        combined_stderr(sphere_side, flat_side), "==",
+        "|U(K) - U_f(proj K)| <= 3 * combined stderr",
         inputs_digest=body_digest(body, samples, seed),
         details={"seed": seed, "samples": sphere_side.samples,
                  "flat_samples": flat_side.samples, "weight": w.kind},

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gnomonic import EuclideanPolytope, uf
-from .measure import Estimate, VerificationReport, mc_map
+from .measure import Estimate, VerificationReport, mc_map, three_sigma
 from .sphere import (integrate, make_stream, sample_sphere_batches,
                      sample_uniform_sphere, sphere_area)
 
@@ -37,7 +37,7 @@ def smallest_enclosing_ball(points):
     d = P.shape[1]
     order = np.arange(P.shape[0])
     np.random.default_rng(1234).shuffle(order)  # deterministic shuffle
-    scale = max(1.0, float(np.max(np.abs(P)))) ** 2
+    scale = float(np.max(np.abs(P))) ** 2
     c, r2 = _welzl([P[i] for i in order], [], d, SEB_TOL * scale)
     return c, math.sqrt(max(0.0, r2))
 
@@ -108,8 +108,8 @@ def make_simplex(R, vertices):
 
 
 def _check_ball(R, n):
-    """Refuse a ball B of radius R <= 0 or in dimension n < 1."""
-    if not (R > 0.0 and n >= 1):
+    """Refuse a ball B of radius R outside (0, inf) or in dimension n < 1."""
+    if not (0.0 < R < math.inf and n >= 1):
         raise ValueError(f"need radius R > 0 and dimension n >= 1, "
                          f"got R = {R}, n = {n}")
 
@@ -124,6 +124,7 @@ def segment_simplex(R, n):
 
 
 def regular_triangle(R):
+    _check_ball(R, 2)
     ang = [0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0]
     V = R * np.array([[math.cos(a), math.sin(a)] for a in ang])
     return make_simplex(R, V)
@@ -149,7 +150,7 @@ def random_simplex(R, n, rng, k=None):
             return make_simplex(R, V)
         except ValueError:
             continue
-    raise RuntimeError("failed to generate a valid inscribed simplex")
+    raise ValueError(f"no inscribed simplex found for R = {R}, n = {n}")
 
 
 def normal_cone_membership(s, j, u):
@@ -219,13 +220,9 @@ def check_7_1(s, j, w, samples=200_000, seed=0, threads=1):
     stderr = float(np.std(g, ddof=1) / math.sqrt(g.shape[0])) if g.shape[0] > 1 else 0.0
     rhs = constant_C(s.R, w, s.n)
     mu_sj = sphere_area(s.n - 1) / 2.0 * accepted.shape[0] / total
-    slack = lhs - rhs
-    tol = 3.0 * stderr
-    return VerificationReport(
-        claim="vertex_average_inequality",
-        lhs=lhs, rhs=rhs, slack=slack, tolerance=tol,
-        tolerance_rule="lhs + 3 stderr >= rhs",
-        passed=lhs + tol >= rhs,
+    return three_sigma(
+        "vertex_average_inequality", lhs, rhs, stderr, ">=",
+        "lhs + 3 stderr >= rhs",
         details={"vertex": j, "mu_Sj": mu_sj, "stderr": stderr,
                  "weight": w.kind, "seed": seed, "samples": samples,
                  "accepted": int(accepted.shape[0])},
@@ -289,7 +286,7 @@ def random_kb_instance(R, n, rng):
             return make_kb_instance(R, pts)
         except ValueError:
             continue
-    raise RuntimeError("failed to generate a K(B) instance")
+    raise ValueError(f"no K(B) instance found for R = {R}, n = {n}")
 
 
 def min_uf_search(R, w, n=2, trials=50, samples=None, seed=0, threads=1):
@@ -327,5 +324,5 @@ def min_uf_search(R, w, n=2, trials=50, samples=None, seed=0, threads=1):
         details={"bound": bound, "segment_value": seg_est.value,
                  "segment_residual": seg_est.value - bound,
                  "trials": trials, "weight": w.kind, "seed": seed,
-                 "R": R},
+                 "samples": samples, "R": R},
     )

@@ -6,7 +6,7 @@ The engine splits the sample budget over a fixed number of Philox
 streams, so results are bit-reproducible for a given (seed, samples)
 at any thread count.  Small batches are drawn and evaluated together in
 chunks, so each numpy call gets enough work to run without the GIL for a
-while.  Acceptance everywhere is the 3-sigma rule.
+while.  ``three_sigma`` decides every 3-sigma verdict.
 """
 
 from __future__ import annotations
@@ -185,20 +185,37 @@ def combined_stderr(*estimates):
     return math.sqrt(sum(e.stderr ** 2 for e in estimates))
 
 
+def three_sigma(claim, lhs, rhs, sigma, direction, rule, inputs_digest="",
+                details=None):
+    """The 3-sigma verdict on ``lhs <= rhs``, ``lhs >= rhs`` or ``lhs ==
+    rhs`` (``direction`` "<=", ">=" or "=="), where ``sigma`` is the
+    standard error of lhs - rhs."""
+    tol = 3.0 * sigma
+    if direction == "<=":
+        slack, passed = rhs - lhs, lhs - tol <= rhs
+    elif direction == ">=":
+        slack, passed = lhs - rhs, lhs + tol >= rhs
+    elif direction == "==":
+        slack = -abs(lhs - rhs)
+        passed = slack >= -tol
+    else:
+        raise ValueError(f"unknown direction {direction!r}")
+    return VerificationReport(
+        claim=claim, lhs=lhs, rhs=rhs, slack=slack, tolerance=tol,
+        tolerance_rule=rule, passed=passed, inputs_digest=inputs_digest,
+        details=details or {})
+
+
 def check_identity_2_1(body, samples=None, seed=0, threads=1):
     """Verify sigma_n - 2 sigma(K*) = 2 U(K) at 3 combined sigma."""
     pol = bd.polar(body)
     vol = volume_mc(pol, samples=samples, seed=seed, threads=threads)
     width = mean_width_mc(body, samples=samples, seed=seed + 1, threads=threads)
-    lhs = sphere_area(body.n) - 2.0 * vol.value
-    rhs = 2.0 * width.value
-    tol = 3.0 * math.sqrt((2.0 * vol.stderr) ** 2 + (2.0 * width.stderr) ** 2)
-    slack = -abs(lhs - rhs)
-    return VerificationReport(
-        claim="polar_width_identity",
-        lhs=lhs, rhs=rhs, slack=slack, tolerance=tol,
-        tolerance_rule="|lhs - rhs| <= 3 * combined stderr",
-        passed=slack >= -tol,
+    return three_sigma(
+        "polar_width_identity",
+        sphere_area(body.n) - 2.0 * vol.value, 2.0 * width.value,
+        2.0 * combined_stderr(vol, width), "==",
+        "|lhs - rhs| <= 3 * combined stderr",
         inputs_digest=body_digest(body, samples, seed),
         details={"polar_volume": vol.value, "mean_width": width.value,
                  "seed": seed, "samples": width.samples},
@@ -213,14 +230,10 @@ def verify_thm2(body, samples=None, seed=0, threads=1):
     """
     vol = volume_mc(body, samples=samples, seed=seed, threads=threads)
     r = bd.inradius_value(body)
-    rhs = sphere_area(body.n) / math.pi * r
-    slack = rhs - vol.value
-    tol = 3.0 * vol.stderr
-    return VerificationReport(
-        claim="volume_inradius_bound",
-        lhs=vol.value, rhs=rhs, slack=slack, tolerance=tol,
-        tolerance_rule="lhs - 3 stderr <= rhs",
-        passed=vol.value - tol <= rhs,
+    return three_sigma(
+        "volume_inradius_bound",
+        vol.value, sphere_area(body.n) / math.pi * r, vol.stderr, "<=",
+        "lhs - 3 stderr <= rhs",
         inputs_digest=body_digest(body, samples, seed),
         details={"inradius": r, "volume_stderr": vol.stderr,
                  "seed": seed, "samples": vol.samples},

@@ -7,8 +7,12 @@ import sys
 
 import pytest
 
+from sphereplanks import covering as cov
+from sphereplanks import gnomonic as gn
+from sphereplanks import linhart as lh
+from sphereplanks import measure as ms
 from sphereplanks.cli import main
-from sphereplanks.files import load_body
+from sphereplanks.files import load_body, load_fan
 from sphereplanks.measure import N_BATCHES
 from sphereplanks.sphere import BLOCK_ENTRIES
 
@@ -460,3 +464,141 @@ def test_cap_polytope_on_the_circle_exits_2(capsys):
     err = capsys.readouterr().err
     assert "cap polytopes need --dim >= 2, got 1" in err
     assert "got 0" not in err
+
+
+@pytest.fixture
+def lune_fan_file(tmp_path):
+    """Full-sphere lune fan: r(B) = pi, so the antipodal route is skipped."""
+    path = tmp_path / "fan.json"
+    assert main(["gen-fan", "--dim", "2", "--gaps", "pi/2,pi/2,pi",
+                 "--out", str(path)]) == 0
+    return str(path)
+
+
+def _fan_reports(path, **mc):
+    inst = load_fan(path)
+    rep = cov.verify_thm1(inst, **mc)
+    anti = cov.verify_antipodal_argument(inst, **mc)
+    return {"thm1": rep.to_dict(), "antipodal": anti.to_dict(),
+            "pass": rep.passed and anti.passed}
+
+
+def _linhart_reports(R, n, **mc):
+    s = lh.segment_simplex(R, n)
+    reports = [lh.check_7_1(s, j, gn.constant_weight(), samples=mc["samples"],
+                            seed=mc["seed"] + j) for j in range(s.k + 1)]
+    return {"vertices": [r.to_dict() for r in reports],
+            "pass": all(r.passed for r in reports), "simplex": "segment",
+            "weight": "constant"}
+
+
+MC = {"samples": 20_000, "seed": 3, "threads": 1}
+VERDICTS = {
+    "verify-thm2": (["verify-thm2", "{body}"],
+                    lambda f: ms.verify_thm2(load_body(f), **MC).to_dict()),
+    "verify-2-1": (["verify-2-1", "{body}"],
+                   lambda f: ms.check_identity_2_1(load_body(f),
+                                                   **MC).to_dict()),
+    "verify-projection": (
+        ["verify-projection", "{body}"],
+        lambda f: gn.check_projection_consistency(load_body(f),
+                                                  **MC).to_dict()),
+    "verify-thm1-hemisphere": (["verify-thm1", "{hemi_fan}"],
+                               lambda f: _fan_reports(f, **MC)),
+    "verify-thm1-skipped-antipodal": (["verify-thm1", "{lune_fan}"],
+                                      lambda f: _fan_reports(f, **MC)),
+    "verify-linhart": (["verify-linhart", "--dim", "3", "--simplex",
+                        "segment"],
+                       lambda f: _linhart_reports(1.0, 3, **MC)),
+    "verify-prop-default-samples": (
+        ["verify-prop", "--trials", "3"],
+        lambda f: lh.min_uf_search(1.0, gn.spherical_weight(2), n=2,
+                                   trials=3, seed=3).to_dict()),
+}
+
+
+@pytest.mark.parametrize("verb", VERDICTS)
+def test_verdict_verbs_print_the_library_report(verb, octant_file,
+                                                hemi_fan_file, lune_fan_file):
+    argv, library = VERDICTS[verb]
+    files = {"{body}": octant_file, "{hemi_fan}": hemi_fan_file,
+             "{lune_fan}": lune_fan_file}
+    argv = [files.get(a, a) for a in argv] + ["--seed", "3"]
+    if "default-samples" not in verb:
+        argv += ["--samples", "20000"]
+    code, out = run_cli(argv)
+    want = library(next((a for a in argv if a.endswith(".json")), None))
+    assert json.loads(out) == json.loads(json.dumps(want))
+    assert code == (0 if want["pass"] else 1)
+
+
+def test_skipped_antipodal_route_and_default_samples_carry_provenance(
+        lune_fan_file):
+    anti = cov.verify_antipodal_argument(load_fan(lune_fan_file), seed=7,
+                                         samples=500)
+    assert anti.details["skipped"] is True
+    assert (anti.details["seed"], anti.details["samples"]) == (7, 500)
+    code, out = run_cli(["verify-prop", "--trials", "2", "--seed", "7"])
+    assert code == 0
+    assert (json.loads(out)["seed"], json.loads(out)["samples"]) == (7, None)
+
+
+RADII = ["inf", "1e308", "1e-320", "1e-12", "1e-8", "1e-6", "1e-3", "1",
+         "1e9"]
+
+
+@pytest.mark.parametrize("radius", RADII)
+@pytest.mark.parametrize("argv", [
+    ["verify-linhart", "--simplex", "segment"],
+    ["verify-linhart", "--simplex", "random"],
+    ["verify-prop", "--trials", "3"],
+], ids=["segment", "random", "prop"])
+def test_linhart_radii_exit_0_or_2(argv, radius, capsys):
+    # Any finite R > 0 that the enclosing-ball checks can resolve runs;
+    # the rest are refused with exit 2, never a traceback.
+    code = main([*argv, "--dim", "3", f"--radius={radius}",
+                 "--samples", "2000"])
+    assert code == (0 if 1e-8 <= float(radius) <= 1e9 else 2), \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("widen", ["nan", "inf"])
+@pytest.mark.parametrize("fan", [["--gaps", "2pi/3,2pi/3,2pi/3"],
+                                 ["--gaps", "pi/2,pi/2", "--hemisphere"]],
+                         ids=["lune-fan", "hemisphere-fan"])
+def test_non_finite_widen_exits_2(fan, widen, tmp_path, capsys):
+    out = tmp_path / "fan.json"
+    assert main(["gen-fan", *fan, f"--widen={widen}", "--out", str(out)]) == 2
+    assert "widening must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _csv(argv):
+    code, out = run_cli([*argv, "--format", "csv"])
+    header, row = out.strip().split("\n")
+    return code, dict(zip(header.split(","), row.split(",")))
+
+
+def test_csv_keeps_nested_reports(hemi_fan_file):
+    argv = ["verify-thm1", hemi_fan_file, "--samples", "20000"]
+    code, flat = _csv(argv)
+    report = json.loads(run_cli(argv)[1])
+    assert code == 0
+    for key in ("thm1.lhs", "thm1.slack", "antipodal.slack",
+                "antipodal.tolerance", "pass"):
+        assert key in flat, key
+    assert float(flat["thm1.lhs"]) == report["thm1"]["lhs"]
+    assert flat["antipodal.tolerance_rule"] == \
+        report["antipodal"]["tolerance_rule"]
+    # Lists of numbers are left out.
+    assert not any(k.startswith("thm1.inradii") for k in flat)
+
+    argv = ["verify-linhart", "--dim", "3", "--simplex", "segment",
+            "--samples", "20000"]
+    code, flat = _csv(argv)
+    report = json.loads(run_cli(argv)[1])
+    assert code == 0
+    for j, vertex in enumerate(report["vertices"]):
+        for key in ("lhs", "rhs", "slack", "tolerance"):
+            assert float(flat[f"vertices.{j}.{key}"]) == vertex[key]
+    assert "vertices.2.lhs" not in flat

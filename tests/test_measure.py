@@ -18,7 +18,7 @@ from sphereplanks.gnomonic import (circumcenter_frame, project_body,
                                    spherical_weight, uf)
 from sphereplanks.linhart import random_simplex, sample_spherical_image
 from sphereplanks.measure import (CHUNK_POINTS, N_BATCHES, Estimate,
-                                  combined_stderr, mc_map)
+                                  combined_stderr, mc_map, three_sigma)
 from sphereplanks.randgen import cap_polytope
 from sphereplanks.sphere import sample_sphere_batches, sample_uniform_sphere
 
@@ -275,3 +275,51 @@ def test_concurrent_callers_share_the_pool():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in callers)
     assert got == [want] * 4
+
+
+def _rule_written_out(direction, lhs, rhs, tol):
+    """Slack and verdict as each verifier computed them before
+    ``three_sigma``; ``verifybench.oracles.rule_holds`` re-applies these."""
+    if direction == "<=":
+        return rhs - lhs, lhs - tol <= rhs
+    if direction == ">=":
+        return lhs - rhs, lhs + tol >= rhs
+    slack = -abs(lhs - rhs)
+    return slack, slack >= -tol
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.1, 1e-3, 7.5e-9])
+@pytest.mark.parametrize("direction", ["<=", ">=", "=="])
+def test_three_sigma_keeps_each_written_out_rule(direction, sigma):
+    # lhs at equality and at either tolerance edge, and one ulp either
+    # side of each: the verdict flips somewhere among them.
+    rhs, tol = 1.0, 3.0 * sigma
+    edges = (rhs, rhs + tol, rhs - tol)
+    verdicts = set()
+    for lhs in [x for e in edges for x in (math.nextafter(e, -math.inf), e,
+                                          math.nextafter(e, math.inf))]:
+        rep = three_sigma("claim", lhs, rhs, sigma, direction, "the rule",
+                          inputs_digest="abc", details={"stderr": sigma})
+        slack, passed = _rule_written_out(direction, lhs, rhs, tol)
+        assert (rep.slack, rep.tolerance, rep.passed) == (slack, tol, passed)
+        assert (rep.lhs, rep.rhs, rep.tolerance_rule) == (lhs, rhs, "the rule")
+        assert rep.to_dict()["stderr"] == sigma
+        verdicts.add(rep.passed)
+    assert verdicts == {True, False}
+
+
+def test_three_sigma_refuses_an_unknown_direction():
+    with pytest.raises(ValueError, match="unknown direction"):
+        three_sigma("claim", 1.0, 1.0, 0.1, "<", "the rule")
+
+
+def test_doubled_combined_stderr_is_the_written_out_sum():
+    # check_identity_2_1 passes 2 * combined_stderr(vol, width) as sigma;
+    # scaling by 2 and 4 is exact, so it equals the old expression.
+    rng = np.random.default_rng(8)
+    for a, b in rng.uniform(0.0, 1.0, size=(1000, 2)) * 10.0 ** \
+            rng.integers(-12, 3, size=(1000, 1)):
+        pair = [Estimate(value=0.0, stderr=x, samples=1, seed=0)
+                for x in (a, b)]
+        assert 2.0 * combined_stderr(*pair) == \
+            math.sqrt((2.0 * a) ** 2 + (2.0 * b) ** 2)
