@@ -35,8 +35,9 @@ def main():
     rep = verify_thm1(inst, samples=100_000, seed=2)
     print(f"  sum r(K_i)        = {rep.lhs:.6f} >= pi/2 = {rep.rhs:.6f}")
     print(f"  sum r(K_i ∩ B)    = {rep.details['strong_sum']:.6f}")
-    anti = verify_antipodal_argument(inst, samples=100_000, seed=3)
-    print(f"  antipodal route agrees: {anti.passed}")
+    anti = verify_antipodal_argument(rep)
+    print(f"  antipodal route: pi - r(B) + sum r(K_i) - pi = {anti.rhs:.6f}"
+          f" -> {'PASS' if anti.passed else 'FAIL'}")
 
     print("\n=== broken cover: verifier refuses to claim the bound ===")
     broken = CoveringInstance(B=inst.B, bodies=inst.bodies[:-1], metadata={})

@@ -13,7 +13,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import math
 import os
 import sys
 import time
@@ -200,7 +199,7 @@ def cmd_uf(args):
 def cmd_verify_thm1(args):
     inst = files.load_fan(args.fan)
     rep = cov.verify_thm1(inst, **_mc(args))
-    anti = cov.verify_antipodal_argument(inst, **_mc(args))
+    anti = cov.verify_antipodal_argument(rep)
     passed = rep.passed and anti.passed
     payload = {"thm1": rep.to_dict(), "antipodal": anti.to_dict(),
                "pass": passed}

@@ -20,8 +20,8 @@ import numpy as np
 from . import bodies as bd
 from .measure import (Estimate, body_digest, combined_stderr, mc_map,
                       mean_width_mc, three_sigma)
-from .sphere import gauss_legendre, row_blocks, sample_sphere_batches, \
-    sphere_area, unit_vector
+from .sphere import gauss_legendre, graded, row_blocks, \
+    sample_sphere_batches, sphere_area, unit_vector
 
 FRAME_TOL = 1e-12
 EQUATOR_TOL = 1e-9
@@ -235,21 +235,19 @@ def _uf_quadrature_2d(poly, w, seed):
     The integrand is smooth between directions orthogonal to a vertex
     difference (argmax/argmin switches) and directions orthogonal to a
     vertex (clipping kinks); both families are inserted as panel
-    boundaries.
+    boundaries.  Beside a kink of vertex v, F(|v| cos) has a layer about
+    1/|v| wide, so the panels next to it are graded toward it.
     """
     V = poly.vertices
     angles = [0.0, 2.0 * math.pi]
-    for i in range(V.shape[0]):
-        vi = V[i]
-        if np.linalg.norm(vi) > 1e-13:
-            a = math.atan2(vi[1], vi[0])
-            angles += [a + math.pi / 2.0, a - math.pi / 2.0]
-        for j in range(i + 1, V.shape[0]):
-            c = vi - V[j]
-            if np.linalg.norm(c) > 1e-13:
-                a = math.atan2(c[1], c[0])
-                angles += [a + math.pi / 2.0, a - math.pi / 2.0]
-    pts = np.unique(np.mod(np.array(angles), 2.0 * math.pi))
+    i, j = np.triu_indices(V.shape[0], 1)
+    for x, y in np.concatenate([V, V[i] - V[j]]).tolist():
+        a = math.atan2(y, x)
+        angles += [a + math.pi / 2.0, a - math.pi / 2.0]
+    kinks = np.arctan2(V[:, 1], V[:, 0]) + math.pi / 2.0
+    layers = graded(np.concatenate([kinks, kinks - math.pi]), math.pi / 2.0,
+                    np.tile(np.linalg.norm(V, axis=1), 2))
+    pts = np.unique(np.mod(np.concatenate([angles, layers]), 2.0 * math.pi))
     pts = np.concatenate([pts, [2.0 * math.pi]])
     nodes, weights = gauss_legendre(20)
     a = pts[:-1][:, None]
@@ -259,8 +257,8 @@ def _uf_quadrature_2d(poly, w, seed):
     dirs = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
     vals = _uf_integrand(poly, w, dirs.reshape(-1, 2)).reshape(theta.shape)
     total = float(np.sum(vals * wgt))
-    return Estimate(value=total, stderr=QUAD_TOL, samples=theta.size,
-                    seed=seed, quantity="uf")
+    return Estimate(value=total, stderr=QUAD_TOL * abs(total),
+                    samples=theta.size, seed=seed, quantity="uf")
 
 
 def _uf_mc(poly, w, samples, seed, threads):

@@ -14,12 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gnomonic import EuclideanPolytope, uf
+from .gnomonic import QUAD_TOL, EuclideanPolytope, WeightFunction, uf
 from .measure import Estimate, VerificationReport, mc_map, three_sigma
-from .sphere import (integrate, make_stream, sample_sphere_batches,
+from .sphere import (graded, integrate, make_stream, sample_sphere_batches,
                      sample_uniform_sphere, sphere_area)
 
 SEB_TOL = 1e-10
+#: Tolerance, relative to R, of the checks that a simplex lies in B.
+BALL_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -96,22 +98,30 @@ class SimplexInBall:
 def make_simplex(R, vertices):
     V = np.atleast_2d(np.asarray(vertices, dtype=float))
     norms = np.linalg.norm(V, axis=1)
-    if np.any(np.abs(norms - R) > 1e-9):
+    tol = BALL_TOL * R
+    if np.any(np.abs(norms - R) > tol):
         raise ValueError("all vertices must lie on the boundary sphere")
     diffs = V[1:] - V[0]
-    if diffs.shape[0] and np.linalg.matrix_rank(diffs, tol=1e-9) != diffs.shape[0]:
+    if diffs.shape[0] and np.linalg.matrix_rank(diffs, tol=tol) != diffs.shape[0]:
         raise ValueError("vertices must be affinely independent")
-    c, r = smallest_enclosing_ball(V)
-    if np.linalg.norm(c) > 1e-9 or abs(r - R) > 1e-9:
-        raise ValueError("smallest enclosing ball of the vertices is not B")
+    _check_enclosing_ball(V, R)
     return SimplexInBall(R=float(R), vertices=V)
 
 
+def _check_enclosing_ball(V, R):
+    """Refuse points whose smallest enclosing ball is not B, to BALL_TOL R."""
+    c, r = smallest_enclosing_ball(V)
+    if np.linalg.norm(c) > BALL_TOL * R or abs(r - R) > BALL_TOL * R:
+        raise ValueError("smallest enclosing ball of the vertices is not B")
+
+
 def _check_ball(R, n):
-    """Refuse a ball B of radius R outside (0, inf) or in dimension n < 1."""
-    if not (0.0 < R < math.inf and n >= 1):
-        raise ValueError(f"need radius R > 0 and dimension n >= 1, "
-                         f"got R = {R}, n = {n}")
+    """Refuse a dimension n < 1, or a radius R <= 0 or whose square is not a
+    normal float, at which squared vertex norms overflow or lose digits."""
+    if not (np.finfo(float).tiny <= float(R) * float(R) < math.inf
+            and R > 0.0 and n >= 1):
+        raise ValueError(f"need radius R > 0 and dimension n >= 1, with R^2 "
+                         f"a normal float, got R = {R}, n = {n}")
 
 
 def segment_simplex(R, n):
@@ -155,12 +165,12 @@ def random_simplex(R, n, rng, k=None):
 
 def normal_cone_membership(s, j, u):
     """True iff u lies in the normal cone of the simplex at vertex j,
-    i.e. <u, v_i - v_j> <= 1e-12 for all i.  ``u`` may be a batch."""
+    i.e. <u, v_i - v_j> <= 1e-12 R for all i.  ``u`` may be a batch."""
     if not 0 <= j <= s.k:
         raise IndexError(f"vertex index {j} out of range")
     u = np.asarray(u, dtype=float)
     diffs = s.vertices - s.vertices[j]
-    return np.max(diffs @ u.T, axis=0) <= 1e-12
+    return np.max(diffs @ u.T, axis=0) <= 1e-12 * s.R
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +184,13 @@ def constant_C(R, w, n):
             / int_0^{pi/2} sin^{n-2} phi dphi
     """
     _check_ball(R, n)
-    top = integrate(lambda phi: w.F(R * np.cos(phi)) * np.sin(phi) ** (n - 2),
-                    0.0, math.pi / 2.0)
+    # F(R cos phi) has a layer about 1/R wide at phi = pi/2.
+    ends = np.unique(np.clip(np.concatenate(
+        [[0.0, math.pi / 2.0], graded(math.pi / 2.0, math.pi / 2.0, R)]),
+        0.0, math.pi / 2.0))
+    top = math.fsum(
+        integrate(lambda phi: w.F(R * np.cos(phi)) * np.sin(phi) ** (n - 2),
+                  a, b) for a, b in zip(ends[:-1], ends[1:]))
     bot = integrate(lambda phi: np.sin(phi) ** (n - 2), 0.0, math.pi / 2.0)
     return top / bot
 
@@ -260,9 +275,7 @@ def make_kb_instance(R, vertices):
     """Member of K(B), as the polytope conv(vertices), whose smallest
     enclosing ball must be the centered ball of radius R."""
     V = np.atleast_2d(np.asarray(vertices, dtype=float))
-    c, r = smallest_enclosing_ball(V)
-    if np.linalg.norm(c) > 1e-8 or abs(r - R) > 1e-8:
-        raise ValueError("smallest enclosing ball of the vertices is not B")
+    _check_enclosing_ball(V, R)
     return EuclideanPolytope(n=V.shape[1], vertices=V)
 
 
@@ -311,7 +324,13 @@ def min_uf_search(R, w, n=2, trials=50, samples=None, seed=0, threads=1):
                            - 3.0 * math.hypot(est.stderr, seg_est.stderr))
         min_gap = min(min_gap, gap)
 
-    seg_tol = 3.0 * seg_est.stderr + 1e-8
+    sigma = seg_est.stderr
+    if n > 2:  # exact: a sample can miss the 1/R-wide layer of F(R |u_1|)
+        sq = WeightFunction("square", f=None, F=lambda s: w.F(s) ** 2)
+        var = max(0.0, constant_C(R, sq, n) - constant_C(R, w, n) ** 2)
+        sigma = sphere_area(n - 1) * math.sqrt(var / seg_est.samples)
+    # The bound is a quadrature, exact to QUAD_TOL relative.
+    seg_tol = 3.0 * math.hypot(sigma, QUAD_TOL * abs(bound))
     seg_ok = abs(seg_est.value - bound) <= seg_tol
     passed = (min_gap >= 0.0) and seg_ok
     return VerificationReport(

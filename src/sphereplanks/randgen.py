@@ -66,7 +66,6 @@ def cap_polytope(n, center, radius, n_vertices=64, rng=None):
     if n_vertices < 1:
         raise ValueError(f"need at least 1 vertex, got {n_vertices}")
     center = normalize(np.asarray(center, dtype=float))
-    d = n + 1
     # Orthonormal basis of center-perp.
     _, _, Vt = np.linalg.svd(center[None, :], full_matrices=True)
     perp = Vt[1:]

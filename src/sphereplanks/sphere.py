@@ -59,6 +59,18 @@ def integrate(f, a, b):
     return half * float(w @ f(a + half * (x + 1.0)))
 
 
+def graded(t, h, scale):
+    """Panel ends t +- h 2^-k, k = 1 to ceil(log2 scale) (at most 60), that
+    shrink toward a point t where the integrand has a layer about 1/scale
+    wide; none for scale <= 1.  The ends come back flat."""
+    t, scale = np.broadcast_arrays(t, scale)
+    k = np.arange(1, 61)
+    use = k - 1 < np.log2(np.maximum(scale, 1.0))[..., None]
+    step = h * 0.5 ** k
+    return np.concatenate([(t[..., None] - step)[use],
+                           (t[..., None] + step)[use]])
+
+
 def unit_vector(x, tol=UNIT_TOL):
     """Validate and return ``x`` as a float array with Euclidean norm 1."""
     v = np.asarray(x, dtype=float)
@@ -128,33 +140,23 @@ def make_stream(seed, spawn_key=()):
 
 
 def sample_uniform_sphere(n, rng, size=None):
-    """Uniform points on S^n: normalized standard Gaussian vectors.
-
-    Returns a single vector for ``size=None``, else an array of shape
-    ``(size, n+1)``.
-    """
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
+    """Uniform points on S^n, the one-batch case of ``sample_sphere_batches``:
+    a single vector for ``size=None``, else an array of shape (size, n+1)."""
     m = 1 if size is None else int(size)
-    g = _to_sphere(rng.standard_normal((m, n + 1)), [rng], [m])
+    g = sample_sphere_batches(n, [rng], [m])
     return g[0] if size is None else g
 
 
 def sample_sphere_batches(n, rngs, sizes):
     """The points ``sample_uniform_sphere(n, rngs[i], sizes[i])`` gives,
-    stacked in order: one Gaussian fill per batch, one normalising pass."""
+    stacked in order: one Gaussian fill per batch, one normalising pass.
+    A zero row in batch ``i`` is redrawn from ``rngs[i]``."""
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     ends = np.cumsum(sizes)
     g = np.empty((int(ends[-1]), n + 1))
     for rng, start, end in zip(rngs, ends - sizes, ends):
         rng.standard_normal(out=g[start:end])
-    return _to_sphere(g, rngs, sizes)
-
-
-def _to_sphere(g, rngs, sizes):
-    """Divide the rows of ``g`` by their norms, in place; a zero row in the
-    ``i``-th run of ``sizes[i]`` rows is redrawn from ``rngs[i]``."""
     while True:
         # Row sums of squares column by column: the additions, in order,
         # that np.linalg.norm(g, axis=1) makes, without its reduction over
@@ -166,7 +168,6 @@ def _to_sphere(g, rngs, sizes):
         bad = sq == 0.0
         if not np.any(bad):
             break
-        ends = np.cumsum(sizes)
         for rng, start, end in zip(rngs, ends - sizes, ends):
             rows = start + np.flatnonzero(bad[start:end])
             if rows.size:

@@ -478,7 +478,7 @@ def lune_fan_file(tmp_path):
 def _fan_reports(path, **mc):
     inst = load_fan(path)
     rep = cov.verify_thm1(inst, **mc)
-    anti = cov.verify_antipodal_argument(inst, **mc)
+    anti = cov.verify_antipodal_argument(rep)
     return {"thm1": rep.to_dict(), "antipodal": anti.to_dict(),
             "pass": rep.passed and anti.passed}
 
@@ -534,8 +534,8 @@ def test_verdict_verbs_print_the_library_report(verb, octant_file,
 
 def test_skipped_antipodal_route_and_default_samples_carry_provenance(
         lune_fan_file):
-    anti = cov.verify_antipodal_argument(load_fan(lune_fan_file), seed=7,
-                                         samples=500)
+    anti = cov.verify_antipodal_argument(
+        cov.verify_thm1(load_fan(lune_fan_file), seed=7, samples=500))
     assert anti.details["skipped"] is True
     assert (anti.details["seed"], anti.details["samples"]) == (7, 500)
     code, out = run_cli(["verify-prop", "--trials", "2", "--seed", "7"])
@@ -544,22 +544,47 @@ def test_skipped_antipodal_route_and_default_samples_carry_provenance(
 
 
 RADII = ["inf", "1e308", "1e-320", "1e-12", "1e-8", "1e-6", "1e-3", "1",
-         "1e9"]
+         "1e9", "1e-160", "1e-100", "1e100", "1e155"]
+LINHART_VERBS = {"segment": ["verify-linhart", "--simplex", "segment"],
+                 "random": ["verify-linhart", "--simplex", "random"],
+                 "prop": ["verify-prop", "--trials", "3"]}
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("radius", RADII)
-@pytest.mark.parametrize("argv", [
-    ["verify-linhart", "--simplex", "segment"],
-    ["verify-linhart", "--simplex", "random"],
-    ["verify-prop", "--trials", "3"],
-], ids=["segment", "random", "prop"])
+@pytest.mark.parametrize("argv", LINHART_VERBS.values(),
+                         ids=list(LINHART_VERBS))
 def test_linhart_radii_exit_0_or_2(argv, radius, capsys):
-    # Any finite R > 0 that the enclosing-ball checks can resolve runs;
-    # the rest are refused with exit 2, never a traceback.
+    # Any R > 0 whose square is a normal float runs; the rest are refused
+    # with exit 2 and a message naming R, never a traceback or a warning.
     code = main([*argv, "--dim", "3", f"--radius={radius}",
                  "--samples", "2000"])
-    assert code == (0 if 1e-8 <= float(radius) <= 1e9 else 2), \
-        capsys.readouterr().err
+    R, err = float(radius), capsys.readouterr().err
+    assert code == (0 if sys.float_info.min <= R * R < math.inf else 2), err
+    assert code == 0 or f"got R = {R}," in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("weight", ["spherical", "constant"])
+@pytest.mark.parametrize("dim", ["2", "3"])
+@pytest.mark.parametrize("verb", LINHART_VERBS)
+def test_linhart_verbs_scale_with_the_radius(verb, dim, weight, capsys):
+    # Every tolerance is relative to R, so the verdicts hold from tiny to
+    # huge balls, without an overflow or underflow warning on the way.
+    for radius in ("1e-100", "1e-12", "1e-8", "1", "5", "1e3", "1e9",
+                   "1e100"):
+        code = main([*LINHART_VERBS[verb], "--dim", dim, "--weight", weight,
+                     f"--radius={radius}", "--samples", "2000"])
+        assert code == 0, (radius, capsys.readouterr())
+
+
+@pytest.mark.parametrize("weight", ["spherical", "constant"])
+@pytest.mark.parametrize("radius", ["0.5", "1", "2", "5", "10", "100", "1e3",
+                                    "1e4", "1e6"])
+def test_planar_prop_holds_for_any_radius(radius, weight, capsys):
+    code = main(["verify-prop", "--dim", "2", "--weight", weight,
+                 f"--radius={radius}", "--trials", "5"])
+    assert code == 0, capsys.readouterr().out
 
 
 @pytest.mark.parametrize("widen", ["nan", "inf"])

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from sphereplanks import (CoveringError, check_covering, make_hemisphere_fan,
-                          make_lune_fan, verify_antipodal_argument,
-                          verify_thm1)
+from sphereplanks import (CoveringError, check_covering, covering,
+                          make_hemisphere_fan, make_lune_fan, measure, sphere,
+                          verify_antipodal_argument, verify_thm1)
+from sphereplanks.cli import main as cli_main
 from sphereplanks.covering import CoveringInstance
 from sphereplanks.sphere import SphericalCap
 
@@ -142,7 +143,7 @@ def test_intermediate_ball_radius():
     rep = verify_thm1(inst, samples=50_000, seed=6)
     assert rep.passed
     assert rep.slack == pytest.approx(math.pi / 4, abs=1e-12)
-    anti = verify_antipodal_argument(inst, samples=50_000, seed=7)
+    anti = verify_antipodal_argument(rep)
     assert anti.passed
     assert not anti.details.get("skipped", False)
     assert anti.details["antipodal_radius"] == pytest.approx(math.pi / 4)
@@ -150,13 +151,102 @@ def test_intermediate_ball_radius():
 
 def test_antipodal_route_skips_full_sphere():
     inst = make_lune_fan(2, _angles(*[math.pi / 2] * 4))
-    rep = verify_antipodal_argument(inst, samples=10_000, seed=8)
+    rep = verify_antipodal_argument(verify_thm1(inst, samples=10_000, seed=8))
     assert rep.passed
     assert rep.details["skipped"] is True
 
 
 def test_antipodal_route_hemisphere():
     inst = make_hemisphere_fan(2, _angles(*[math.pi / 3] * 3), widen=0.02)
-    rep = verify_antipodal_argument(inst, samples=50_000, seed=9)
+    rep = verify_antipodal_argument(verify_thm1(inst, samples=50_000, seed=9))
     assert rep.passed
     assert rep.details["uncovered"] == 0
+
+
+_ROUTE_RULE = ("B' plus the bodies cover S^n; both inequality routes agree "
+               "to 1e-9")
+# The reports the sampled antipodal route gave, which redrew S^n with the
+# seed and sample count of the Theorem 1 check.
+PINNED_ROUTES = {
+    "full-sphere": (
+        lambda: make_lune_fan(2, _angles(*[math.pi / 2] * 4)), 10_000, 8,
+        {"claim": "antipodal_ball_route", "lhs": 0.0, "rhs": 0.0,
+         "slack": 0.0, "tolerance": 0.0,
+         "tolerance_rule": "skipped: B' degenerates to a point for "
+                           "r(B) = pi",
+         "pass": True, "inputs_digest": "", "skipped": True,
+         "r_B": 3.141592653589793, "seed": 8, "samples": 10000}),
+    "ball-3pi/4": (
+        lambda: make_lune_fan(
+            2, _angles(*[math.pi / 2] * 4),
+            ball=SphericalCap(center=np.array([1.0, 0.0, 0.0]),
+                              radius=3 * math.pi / 4)), 50_000, 6,
+        {"claim": "antipodal_ball_route", "lhs": 0.7853981633974483,
+         "rhs": 0.7853981633974483, "slack": 0.7853981633974483,
+         "tolerance": 1e-09, "tolerance_rule": _ROUTE_RULE, "pass": True,
+         "inputs_digest": "", "uncovered": 0,
+         "antipodal_radius": 0.7853981633974483, "seed": 6,
+         "samples": 50000}),
+    "hemisphere": (
+        lambda: make_hemisphere_fan(2, _angles(*[math.pi / 3] * 3),
+                                    widen=0.02), 50_000, 9,
+        {"claim": "antipodal_ball_route", "lhs": 0.019999999999999796,
+         "rhs": 0.019999999999999574, "slack": 0.019999999999999796,
+         "tolerance": 1e-09, "tolerance_rule": _ROUTE_RULE, "pass": True,
+         "inputs_digest": "", "uncovered": 0,
+         "antipodal_radius": 1.5707963267948966, "seed": 9,
+         "samples": 50000}),
+    "hemisphere-S3": (
+        lambda: make_hemisphere_fan(3, _angles(*[math.pi / 3] * 3),
+                                    widen=0.05), 20_000, 11,
+        {"claim": "antipodal_ball_route", "lhs": 0.04999999999999982,
+         "rhs": 0.04999999999999982, "slack": 0.04999999999999982,
+         "tolerance": 1e-09, "tolerance_rule": _ROUTE_RULE, "pass": True,
+         "inputs_digest": "", "uncovered": 0,
+         "antipodal_radius": 1.5707963267948966, "seed": 11,
+         "samples": 20000}),
+}
+
+
+@pytest.mark.parametrize("case", PINNED_ROUTES)
+def test_derived_route_gives_the_sampled_route_report(case):
+    make, samples, seed, want = PINNED_ROUTES[case]
+    rep = verify_thm1(make(), samples=samples, seed=seed)
+    assert verify_antipodal_argument(rep).to_dict() == want
+
+
+def test_derived_route_draws_nothing(monkeypatch):
+    inst = make_hemisphere_fan(2, _angles(*[math.pi / 3] * 3), widen=0.02)
+    rep = verify_thm1(inst, samples=20_000, seed=9)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the antipodal route sampled or solved")
+
+    for module, name in ((covering, "mc_map"),
+                         (covering, "sample_cap_batches"),
+                         (sphere, "sample_sphere_batches"),
+                         (sphere, "sample_uniform_sphere"),
+                         (covering.bd, "inradius_value")):
+        monkeypatch.setattr(module, name, refuse)
+    assert verify_antipodal_argument(rep).passed
+
+
+@pytest.mark.parametrize("fan", [
+    ["--gaps", "pi/3,pi/3,pi/3", "--hemisphere", "--widen", "0.05"],
+    ["--gaps", "pi/2,pi/2,pi"],
+], ids=["hemisphere", "full-sphere"])
+def test_verify_thm1_makes_one_monte_carlo_pass(fan, monkeypatch, tmp_path,
+                                                capsys):
+    path = tmp_path / "fan.json"
+    assert cli_main(["gen-fan", "--dim", "3", *fan, "--out", str(path)]) == 0
+    calls = []
+    real = measure.mc_map
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(measure, "mc_map", counted)
+    monkeypatch.setattr(covering, "mc_map", counted)
+    assert cli_main(["verify-thm1", str(path), "--samples", "20000"]) == 0
+    assert len(calls) == 1

@@ -318,3 +318,18 @@ def test_spherical_weight_F_matches_quadrature_above_dimension_4(n):
                 epsrel=1e-13, limit=200)[0] for x in s]
     assert np.allclose(w.F(s), ref, rtol=1e-13, atol=1e-15)
     assert float(w.F(0.5)) == pytest.approx(ref[3], rel=1e-13)
+
+
+RADII = (0.5, 1.0, 2.0, 5.0, 10.0, 100.0, 1e3, 1e4, 1e6)
+
+
+@pytest.mark.parametrize("R", RADII)
+def test_uf_segment_matches_closed_forms_for_any_radius(R):
+    # U_f of [-R, R] x {0} is 4 atan R for the spherical weight and 4R for
+    # the constant one; F(R |cos|) has a layer about 1/R wide beside each
+    # direction orthogonal to the segment.
+    seg = EuclideanPolytope(n=2, vertices=np.array([[R, 0.0], [-R, 0.0]]))
+    assert uf(seg, spherical_weight(2)).value == \
+        pytest.approx(4.0 * math.atan(R), rel=1e-12, abs=0.0)
+    assert uf(seg, constant_weight()).value == \
+        pytest.approx(4.0 * R, rel=1e-12, abs=0.0)

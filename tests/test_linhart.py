@@ -117,7 +117,7 @@ def test_normal_cone_membership_matches_all_reduce_formula(n, seed, segment,
     # The segment of radius 1/2 has vertex differences +-e_1, so exact
     # coordinates give exact products.
     s = segment_simplex(0.5, n) if segment else random_simplex(1.0, n, rng)
-    tol = 1e-12
+    tol = 1e-12 * s.R
     rows = data.draw(st.lists(st.lists(
         st.one_of(st.sampled_from((0.0, tol, -tol, 1.0, -1.0)),
                   st.floats(-1.0, 1.0)), min_size=n, max_size=n),
@@ -296,3 +296,16 @@ def test_perturbed_segment_increases_uf():
     lens = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 0.4], [0.0, -0.4]])
     lens_val = uf(EuclideanPolytope(n=2, vertices=lens), w).value
     assert lens_val > seg_val + 1e-3
+
+
+@pytest.mark.parametrize("R", [0.5, 1.0, 2.0, 5.0, 10.0, 100.0, 1e3, 1e4,
+                               1e6])
+def test_constant_C_matches_closed_forms_for_any_radius(R):
+    # F(R cos phi) has a layer about 1/R wide at phi = pi/2.
+    for got, want in ((constant_C(R, spherical_weight(2), 2),
+                       2.0 / math.pi * math.atan(R)),
+                      (constant_C(R, spherical_weight(3), 3),
+                       math.atan(R) / 2.0),
+                      (constant_C(R, constant_weight(), 2), 2.0 * R / math.pi),
+                      (constant_C(R, constant_weight(), 3), R / 2.0)):
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)

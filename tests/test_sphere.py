@@ -187,10 +187,11 @@ class _CountingRng:
         self.rows = 0
         self.largest = 0
 
-    def standard_normal(self, shape):
-        self.rows += shape[0]
-        self.largest = max(self.largest, shape[0])
-        return self.rng.standard_normal(shape)
+    def standard_normal(self, shape=None, out=None):
+        rows = (shape if out is None else out.shape)[0]
+        self.rows += rows
+        self.largest = max(self.largest, rows)
+        return self.rng.standard_normal(shape, out=out)
 
 
 class _ZeroFirstRowRng(_CountingRng):
@@ -200,21 +201,22 @@ class _ZeroFirstRowRng(_CountingRng):
         super().__init__(rng)
         self.zero_draws = zero_draws
 
-    def standard_normal(self, shape):
-        g = super().standard_normal(shape)
+    def standard_normal(self, shape=None, out=None):
+        g = super().standard_normal(shape, out=out)
         if self.zero_draws:
             self.zero_draws -= 1
             g[0] = 0.0
         return g
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
 def test_uniform_sphere_is_bitwise_the_norm_reference(n):
     # Reference: the Gaussian rows divided by their np.linalg.norm.
-    g = make_stream(21, (n,)).standard_normal((10_000, n + 1))
-    ref = g / np.linalg.norm(g, axis=1, keepdims=True)
-    pts = sample_uniform_sphere(n, make_stream(21, (n,)), size=10_000)
-    assert np.array_equal(pts.view(np.uint64), ref.view(np.uint64))
+    for m in (1, 7, 1000, 10_000, 12345):
+        g = make_stream(21, (n,)).standard_normal((m, n + 1))
+        ref = g / np.linalg.norm(g, axis=1, keepdims=True)
+        pts = sample_uniform_sphere(n, make_stream(21, (n,)), size=m)
+        assert np.array_equal(pts.view(np.uint64), ref.view(np.uint64))
     one = sample_uniform_sphere(n, make_stream(21, (n,)))
     assert one.shape == (n + 1,)
     assert np.array_equal(one.view(np.uint64), ref[0].view(np.uint64))
