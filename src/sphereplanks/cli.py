@@ -224,9 +224,8 @@ def cmd_verify_linhart(args):
         s = lh.random_simplex(args.radius, args.dim, make_stream(args.seed))
     w = _weight(args.weight, args.dim)
     samples = 200_000 if args.samples is None else args.samples
-    reports = [lh.check_7_1(s, j, w, samples=samples, seed=args.seed + j,
-                            threads=args.threads)
-               for j in range(s.k + 1)]
+    reports = lh.check_vertex_averages(s, w, samples=samples, seed=args.seed,
+                                       threads=args.threads)
     passed = all(r.passed for r in reports)
     payload = {"vertices": [r.to_dict() for r in reports],
                "pass": passed, "simplex": args.simplex,

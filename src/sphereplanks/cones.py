@@ -37,6 +37,9 @@ def min_norm_point(points, tol=1e-12, max_iter=1000):
     -------
     x : (d,) array
         The minimum-norm point.
+
+    Raises ``ValueError`` when ``max_iter`` major cycles end without
+    meeting the criterion.
     """
     P = np.atleast_2d(np.asarray(points, dtype=float))
     m, d = P.shape
@@ -81,7 +84,8 @@ def min_norm_point(points, tol=1e-12, max_iter=1000):
             idx = [i for i, k in zip(idx, keep) if k]
             lam = lam[keep]
             lam = lam / lam.sum()
-    return lam @ P[idx]
+    raise ValueError(f"Wolfe's min-norm point did not converge in "
+                     f"{max_iter} iterations")
 
 
 def _affine_min_weights(S):

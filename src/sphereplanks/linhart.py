@@ -200,6 +200,29 @@ def uf_lower_bound(R, w, n):
     return sphere_area(n - 1) * constant_C(R, w, n)
 
 
+def _images(s, vertices, samples, seed, threads, reduce):
+    """``[[reduce(ej, u) for each vertex j in vertices] for each chunk]``
+    of one ``mc_map`` draw, where ej = v_j / R and u are the drawn
+    directions, folded onto the half-sphere D_j, that lie in S_j.
+
+    The normal cones partition the sphere, so one draw serves every
+    vertex; ``reduce`` keeps what the caller needs of each chunk.
+    """
+    folds = [(j, s.vertices[j] / s.R) for j in vertices]
+
+    def draw(rngs, sizes):
+        dirs = sample_sphere_batches(s.n - 1, rngs, sizes)
+        out = []
+        for j, ej in folds:
+            # Fold onto D_j; preserves uniformity on the half-sphere.
+            u = dirs * np.where(dirs @ ej >= 0.0, 1.0, -1.0)[:, None]
+            out.append(reduce(ej, np.compress(
+                normal_cone_membership(s, j, u), u, axis=0)))
+        return out
+
+    return mc_map(draw, samples, seed, threads)
+
+
 def sample_spherical_image(s, j, samples, seed, threads=1):
     """Directions uniform in S_j, by rejection from the half-sphere D_j.
 
@@ -207,15 +230,41 @@ def sample_spherical_image(s, j, samples, seed, threads=1):
     mu(S_j) / mu(D_j), and the accepted samples feed the g-average, so both
     estimates share the same draws.
     """
-    ej = s.vertices[j] / s.R
+    chunks = _images(s, [j], samples, seed, threads, lambda ej, u: u)
+    return np.concatenate([c[0] for c in chunks]), samples
 
-    def draw(rngs, sizes):
-        dirs = sample_sphere_batches(s.n - 1, rngs, sizes)
-        # Fold onto D_j; preserves uniformity on the half-sphere.
-        dirs *= np.where(dirs @ ej >= 0.0, 1.0, -1.0)[:, None]
-        return dirs[normal_cone_membership(s, j, dirs)]
 
-    return np.concatenate(mc_map(draw, samples, seed, threads)), samples
+def check_vertex_averages(s, w, samples=200_000, seed=0, threads=1,
+                          vertices=None):
+    """``check_7_1`` at every vertex in ``vertices`` (default: all), from
+    one draw of ``samples`` directions.
+
+    Each vertex's report is the one ``check_7_1`` gives at the same seed;
+    the estimates of different vertices share the draw, and so are
+    correlated, but no verdict combines them.
+    """
+    vertices = range(s.k + 1) if vertices is None else vertices
+    # Each chunk keeps only the heights <u, ej> of each vertex's directions.
+    chunks = _images(s, vertices, samples, seed, threads,
+                     lambda ej, u: u @ ej)
+    rhs = constant_C(s.R, w, s.n)
+    reports = []
+    for i, j in enumerate(vertices):
+        h = np.clip(s.R * np.concatenate([c[i] for c in chunks]), 0.0, None)
+        if h.shape[0] == 0:
+            raise ValueError("degenerate simplex: empty spherical image "
+                             "sample")
+        g = np.asarray(w.F(h), dtype=float)
+        lhs = float(np.mean(g))
+        stderr = float(np.std(g, ddof=1) / math.sqrt(g.shape[0])) if g.shape[0] > 1 else 0.0
+        mu_sj = sphere_area(s.n - 1) / 2.0 * h.shape[0] / samples
+        reports.append(three_sigma(
+            "vertex_average_inequality", lhs, rhs, stderr, ">=",
+            "lhs + 3 stderr >= rhs",
+            details={"vertex": j, "mu_Sj": mu_sj, "stderr": stderr,
+                     "weight": w.kind, "seed": seed, "samples": samples,
+                     "accepted": int(h.shape[0])}))
+    return reports
 
 
 def check_7_1(s, j, w, samples=200_000, seed=0, threads=1):
@@ -225,23 +274,7 @@ def check_7_1(s, j, w, samples=200_000, seed=0, threads=1):
     average, with equality exactly when S_j is the full half-sphere (the
     segment case).
     """
-    accepted, total = sample_spherical_image(s, j, samples, seed, threads)
-    if accepted.shape[0] == 0:
-        raise ValueError("degenerate simplex: empty spherical image sample")
-    ej = s.vertices[j] / s.R
-    h = np.clip(s.R * (accepted @ ej), 0.0, None)
-    g = np.asarray(w.F(h), dtype=float)
-    lhs = float(np.mean(g))
-    stderr = float(np.std(g, ddof=1) / math.sqrt(g.shape[0])) if g.shape[0] > 1 else 0.0
-    rhs = constant_C(s.R, w, s.n)
-    mu_sj = sphere_area(s.n - 1) / 2.0 * accepted.shape[0] / total
-    return three_sigma(
-        "vertex_average_inequality", lhs, rhs, stderr, ">=",
-        "lhs + 3 stderr >= rhs",
-        details={"vertex": j, "mu_Sj": mu_sj, "stderr": stderr,
-                 "weight": w.kind, "seed": seed, "samples": samples,
-                 "accepted": int(accepted.shape[0])},
-    )
+    return check_vertex_averages(s, w, samples, seed, threads, [j])[0]
 
 
 def uf_via_images(s, w, samples=200_000, seed=0, threads=1):

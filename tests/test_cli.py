@@ -485,8 +485,9 @@ def _fan_reports(path, **mc):
 
 def _linhart_reports(R, n, **mc):
     s = lh.segment_simplex(R, n)
+    # One draw serves every vertex, so each report carries the verb's seed.
     reports = [lh.check_7_1(s, j, gn.constant_weight(), samples=mc["samples"],
-                            seed=mc["seed"] + j) for j in range(s.k + 1)]
+                            seed=mc["seed"]) for j in range(s.k + 1)]
     return {"vertices": [r.to_dict() for r in reports],
             "pass": all(r.passed for r in reports), "simplex": "segment",
             "weight": "constant"}

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from sphereplanks import cap_polytope, make_body, make_stream, polar
+from sphereplanks import (cap_polytope, make_body, make_stream, polar,
+                          random_body, sample_uniform_sphere)
 from sphereplanks.cones import (DEDUP_TOL, cone_generators, dedup_rows,
                                 sweep_direction,
                                 max_min_inner, min_norm_point)
@@ -71,6 +72,35 @@ def test_min_norm_wolfe_certificate():
         P = rng.normal(size=(6, 3)) + rng.uniform(-1, 1)
         x = min_norm_point(P)
         assert np.min(P @ x) >= x @ x - 1e-9
+
+
+def test_min_norm_raises_when_the_major_cycles_run_out():
+    # From (1, 0) one major cycle adds (0, 1); only a second one can
+    # confirm the foot (1/2, 1/2).
+    P = np.eye(2)
+    assert np.allclose(min_norm_point(P, max_iter=2), [0.5, 0.5])
+    with pytest.raises(ValueError, match="1 iterations"):
+        min_norm_point(P, max_iter=1)
+
+
+@given(n=st.integers(2, 4), seed=st.integers(0, 2 ** 16),
+       cap=st.booleans(), radius=st.floats(0.05, 1.4),
+       vertices=st.integers(3, 24))
+@settings(max_examples=60, deadline=None)
+def test_min_norm_points_of_bodies_carry_the_wolfe_certificate(
+        n, seed, cap, radius, vertices):
+    # Both of the solver's inputs in the package: the V-generators
+    # (circumradius) and the negated facet normals (inradius).
+    rng = make_stream(seed)
+    if cap:
+        body = cap_polytope(n, sample_uniform_sphere(n, rng), radius,
+                            n_vertices=max(vertices, n + 1), rng=rng)
+    else:
+        body = random_body(n, rng)
+    for P in (body.v_generators, -body.h_normals):
+        x = min_norm_point(P)
+        scale = max(1.0, float(np.max(np.sum(P * P, axis=1))))
+        assert np.min(P @ x) >= x @ x - 1e-12 * scale
 
 
 def test_max_min_inner_value_and_witness():

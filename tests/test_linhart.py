@@ -14,10 +14,10 @@ from sphereplanks import (check_7_1, constant_C, constant_weight,
                           normal_cone_membership, random_simplex,
                           regular_triangle, sample_uniform_sphere,
                           segment_simplex, smallest_enclosing_ball,
-                          spherical_weight, uf, uf_lower_bound)
+                          sphere_area, spherical_weight, uf, uf_lower_bound)
 from sphereplanks.gnomonic import EuclideanPolytope
-from sphereplanks.linhart import (random_kb_instance, sample_spherical_image,
-                                  uf_via_images)
+from sphereplanks.linhart import (check_vertex_averages, random_kb_instance,
+                                  sample_spherical_image, uf_via_images)
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +161,57 @@ def test_regular_triangle_image_measure():
         assert abs(frac - 2.0 / 3.0) <= 3.0 * math.sqrt(frac * (1 - frac)
                                                         / total)
     assert mu_total == pytest.approx(2.0, abs=0.01)
+
+
+def _image_cases(dims=(2, 3, 4)):
+    """Random simplices of every k in R^n, segments, the regular
+    triangle."""
+    cases = [("regular-triangle", regular_triangle(1.0))]
+    for n in dims:
+        cases.append((f"segment-n{n}", segment_simplex(1.0, n)))
+        for k in range(1, n + 1):
+            for seed in (0, 1):
+                rng = make_stream(100 * n + 10 * k + seed)
+                cases.append((f"random-n{n}-k{k}-{seed}",
+                              random_simplex(1.0, n, rng, k=k)))
+    return cases
+
+
+@pytest.mark.parametrize("name,s", _image_cases())
+def test_one_draw_is_split_exactly_between_the_vertices(name, s):
+    # The normal cones partition the directions, and each of u, -u lands in
+    # exactly one of them: the vertices of one draw accept 2 N directions.
+    samples = 20_000
+    reports = check_vertex_averages(s, constant_weight(), samples, seed=21)
+    assert sum(r.details["accepted"] for r in reports) == 2 * samples
+    if name.startswith("segment"):
+        for r in reports:
+            assert r.details["accepted"] == samples
+            assert r.details["mu_Sj"] == sphere_area(s.n - 1) / 2.0
+
+
+@pytest.mark.parametrize("name,s", _image_cases(dims=(2, 3)))
+@pytest.mark.parametrize("kind", ["constant", "spherical"])
+def test_vertex_averages_are_check_7_1_at_the_same_seed(name, s, kind):
+    w = constant_weight() if kind == "constant" else spherical_weight(s.n)
+    samples, seed = 30_000, 22
+    for threads in (1, 2):
+        reports = check_vertex_averages(s, w, samples, seed, threads)
+        assert [r.details["vertex"] for r in reports] == list(range(s.k + 1))
+        for j, rep in enumerate(reports):
+            assert rep.to_dict() == check_7_1(s, j, w, samples, seed,
+                                              3 - threads).to_dict()
+    # Reference: the average over the accepted directions themselves, as
+    # check_7_1 took it before one draw served every vertex.  The heights
+    # are the same row products, taken chunk by chunk.
+    for j, rep in enumerate(reports):
+        acc, total = sample_spherical_image(s, j, samples, seed)
+        h = np.clip(s.R * (acc @ (s.vertices[j] / s.R)), 0.0, None)
+        g = np.asarray(w.F(h), dtype=float)
+        assert (rep.details["accepted"], total) == (acc.shape[0], samples)
+        assert rep.lhs == float(np.mean(g))
+        assert rep.details["stderr"] == \
+            float(np.std(g, ddof=1) / math.sqrt(g.shape[0]))
 
 
 # ---------------------------------------------------------------------------

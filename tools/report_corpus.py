@@ -117,8 +117,10 @@ def _linhart_argvs():
             common = ["--dim", str(n), "--weight", weight, *MC]
             for radius in ("0.5", "1.7"):
                 for simplex in ("random", "segment"):
-                    runs.append(["verify-linhart", *common, "--radius",
-                                 radius, "--simplex", simplex, "--seed", "3"])
+                    for threads in ("1", "2"):
+                        runs.append(["verify-linhart", *common, "--radius",
+                                     radius, "--simplex", simplex, "--seed",
+                                     "3", "--threads", threads])
                 runs.append(["verify-prop", *common, "--radius", radius,
                              "--trials", "3", "--seed", "3"])
             runs.append(["verify-linhart", *common, "--format", "csv"])
