@@ -40,7 +40,7 @@ def main():
           f" -> {'PASS' if anti.passed else 'FAIL'}")
 
     print("\n=== broken cover: verifier refuses to claim the bound ===")
-    broken = CoveringInstance(B=inst.B, bodies=inst.bodies[:-1], metadata={})
+    broken = CoveringInstance(B=inst.B, bodies=inst.bodies[:-1])
     try:
         verify_thm1(broken, samples=50_000, seed=4)
     except CoveringError as exc:

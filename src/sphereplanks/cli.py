@@ -71,8 +71,7 @@ def _emit(payload, args):
             ",".join(repr(flat[k]) if isinstance(flat[k], float)
                      else str(flat[k]) for k in keys) + "\n"
     else:
-        text = json.dumps(payload, sort_keys=True, indent=2,
-                          default=_jsonable) + "\n"
+        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -80,24 +79,19 @@ def _emit(payload, args):
         sys.stdout.write(text)
 
 
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
-
-
 def _mc(args):
     """The Monte Carlo options every sampling verb passes through; a set
     sample count and the thread count must be positive even where the
-    verb ends up exact."""
+    verb ends up exact.  An unset sample count is left out, so the
+    library's default applies."""
     if args.samples is not None and args.samples < 1:
         raise ValueError(f"samples must be >= 1, got {args.samples}")
     if args.threads < 1:
         raise ValueError(f"threads must be >= 1, got {args.threads}")
-    return {"samples": args.samples, "seed": args.seed,
-            "threads": args.threads}
+    mc = {"seed": args.seed, "threads": args.threads}
+    if args.samples is not None:
+        mc["samples"] = args.samples
+    return mc
 
 
 # ---------------------------------------------------------------------------
@@ -223,9 +217,7 @@ def cmd_verify_linhart(args):
     else:
         s = lh.random_simplex(args.radius, args.dim, make_stream(args.seed))
     w = _weight(args.weight, args.dim)
-    samples = 200_000 if args.samples is None else args.samples
-    reports = lh.check_vertex_averages(s, w, samples=samples, seed=args.seed,
-                                       threads=args.threads)
+    reports = lh.check_vertex_averages(s, w, **_mc(args))
     passed = all(r.passed for r in reports)
     payload = {"vertices": [r.to_dict() for r in reports],
                "pass": passed, "simplex": args.simplex,
@@ -235,9 +227,9 @@ def cmd_verify_linhart(args):
 
 # ---------------------------------------------------------------------------
 
-def _add_common(p, samples_default=None):
+def _add_common(p):
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--samples", type=int, default=samples_default)
+    p.add_argument("--samples", type=int, default=None)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None)
@@ -295,7 +287,7 @@ def build_parser():
 
     p = sub.add_parser("verify-thm1")
     p.add_argument("fan")
-    _add_common(p, samples_default=100_000)
+    _add_common(p)
     p.set_defaults(func=cmd_verify_thm1)
 
     p = sub.add_parser("verify-prop")

@@ -38,8 +38,9 @@ def min_norm_point(points, tol=1e-12, max_iter=1000):
     x : (d,) array
         The minimum-norm point.
 
-    Raises ``ValueError`` when ``max_iter`` major cycles end without
-    meeting the criterion.
+    Raises ``ValueError``, naming the cause, when ``max_iter`` major cycles
+    end without meeting the criterion, when the most violating point is
+    already in the corral, or when the corral's affine hull is singular.
     """
     P = np.atleast_2d(np.asarray(points, dtype=float))
     m, d = P.shape
@@ -57,17 +58,15 @@ def min_norm_point(points, tol=1e-12, max_iter=1000):
         if dots[j] >= x @ x - tol * scale:
             return x
         if j in idx:
-            return x
+            raise ValueError(f"Wolfe's min-norm point stalled: the most "
+                             f"violating point {j} is already in the corral")
         idx.append(j)
         lam = np.append(lam, 0.0)
         # Minor cycle: pull lam toward the affine minimizer until it is a
-        # proper convex combination.
+        # proper convex combination.  lam stays convex, so some weight
+        # survives the cut below.
         for _ in range(max_iter):
             alpha = _affine_min_weights(P[idx])
-            if alpha is None:
-                idx.pop()
-                lam = lam[:-1]
-                return lam @ P[idx]
             if np.min(alpha) > 1e-14:
                 lam = alpha
                 break
@@ -78,9 +77,6 @@ def min_norm_point(points, tol=1e-12, max_iter=1000):
             lam = (1.0 - theta) * lam + theta * alpha
             lam[lam < 1e-14] = 0.0
             keep = lam > 0.0
-            if not np.any(keep):
-                keep[int(np.argmax(alpha))] = True
-                lam[keep] = 1.0
             idx = [i for i, k in zip(idx, keep) if k]
             lam = lam[keep]
             lam = lam / lam.sum()
@@ -89,7 +85,8 @@ def min_norm_point(points, tol=1e-12, max_iter=1000):
 
 
 def _affine_min_weights(S):
-    """Weights of the min-norm point of the affine hull of rows of S."""
+    """Weights of the min-norm point of the affine hull of rows of S;
+    ``ValueError`` when that hull is singular."""
     k = S.shape[0]
     M = np.empty((k + 1, k + 1))
     M[:k, :k] = S @ S.T
@@ -98,12 +95,13 @@ def _affine_min_weights(S):
     M[k, k] = 0.0
     rhs = np.zeros(k + 1)
     rhs[k] = 1.0
+    singular = f"Wolfe's min-norm point: singular corral of {k} points"
     try:
         sol = np.linalg.solve(M, rhs)
     except np.linalg.LinAlgError:
-        return None
+        raise ValueError(singular) from None
     if not np.all(np.isfinite(sol)):
-        return None
+        raise ValueError(singular)
     return sol[:k]
 
 

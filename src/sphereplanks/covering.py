@@ -28,17 +28,11 @@ class CoveringError(ValueError):
 
 
 @dataclass(frozen=True)
-class LuneFan:
-    """Lunes with common ridge, given by boundary angles in the plane of
-    the first two coordinate axes (the ridge is spanned by the others).
-    Gap i spans [theta_{i-1}, theta_i]."""
-
-    boundary_angles: np.ndarray  # (m+1,), strictly increasing, span 2 pi
-    widen: np.ndarray | None = None  # per-lune added angle
-
-
-@dataclass(frozen=True)
 class CoveringInstance:
+    """Bodies meant to cover the ball ``B``.  A fan's ``metadata`` holds
+    its ``construction`` (the fan file's kind), its ``boundary_angles``
+    and its per-lune ``widen`` (None when not widened)."""
+
     B: SphericalCap
     bodies: list
     metadata: dict = field(default_factory=dict)
@@ -80,11 +74,10 @@ def make_lune_fan(n, boundary_angles, widen=None, ball=None):
             n, min(gap + extra, math.pi), (p, q), theta0=theta0,
             tag=f"fan-lune-{i}"))
 
-    fan = LuneFan(boundary_angles=angles, widen=widen)
     B = ball if ball is not None else SphericalCap(center=p, radius=math.pi)
     kind = "lune-fan" if widen is None else "perturbed-fan"
-    return CoveringInstance(B=B, bodies=lunes,
-                            metadata={"construction": kind, "fan": fan})
+    return CoveringInstance(B=B, bodies=lunes, metadata={
+        "construction": kind, "boundary_angles": angles, "widen": widen})
 
 
 def make_hemisphere_fan(n, boundary_angles, widen=None):
@@ -108,11 +101,10 @@ def make_hemisphere_fan(n, boundary_angles, widen=None):
         hi = min(math.pi, angles[i + 1] + extra / 2.0)
         lunes.append(bd.make_lune_from_angle(n, hi - lo, (p, q), theta0=lo,
                                              tag=f"hemifan-lune-{i}"))
-    fan = LuneFan(boundary_angles=angles, widen=widen)
     B = SphericalCap(center=q, radius=math.pi / 2.0)
-    return CoveringInstance(B=B, bodies=lunes,
-                            metadata={"construction": "hemisphere-fan",
-                                      "fan": fan})
+    return CoveringInstance(B=B, bodies=lunes, metadata={
+        "construction": "hemisphere-fan", "boundary_angles": angles,
+        "widen": widen})
 
 
 def _fan_plane(n):

@@ -120,17 +120,17 @@ def load_body(path):
 
 
 def fan_to_dict(inst):
-    fan = inst.metadata["fan"]
+    fan = inst.metadata
     out = {
         "dim": inst.B.n,
-        "kind": inst.metadata.get("construction", "lune-fan"),
-        "boundary_angles": fan.boundary_angles.tolist(),
+        "kind": fan["construction"],
+        "boundary_angles": fan["boundary_angles"].tolist(),
         "ball": {"center": inst.B.center.tolist(),
                  "radius": inst.B.radius},
         "sum_inradii": math.fsum(b.lune.angle for b in inst.bodies) / 2.0,
     }
-    if fan.widen is not None:
-        out["widen"] = fan.widen.tolist()
+    if fan["widen"] is not None:
+        out["widen"] = fan["widen"].tolist()
     return out
 
 

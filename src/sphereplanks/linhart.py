@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gnomonic import QUAD_TOL, EuclideanPolytope, WeightFunction, uf
-from .measure import Estimate, VerificationReport, mc_map, three_sigma
+from .measure import VerificationReport, mc_map, three_sigma
 from .sphere import (graded, integrate, make_stream, sample_sphere_batches,
                      sample_uniform_sphere, sphere_area)
 
@@ -275,29 +275,6 @@ def check_7_1(s, j, w, samples=200_000, seed=0, threads=1):
     segment case).
     """
     return check_vertex_averages(s, w, samples, seed, threads, [j])[0]
-
-
-def uf_via_images(s, w, samples=200_000, seed=0, threads=1):
-    """U_f of the simplex summed over spherical images.
-
-    Independent route for the chain identity: each direction contributes
-    F(<v_j, u>) for the vertex whose normal cone it falls in.
-    """
-    def draw(rngs, sizes):
-        dirs = sample_sphere_batches(s.n - 1, rngs, sizes)
-        vals = np.zeros(dirs.shape[0])
-        for j in range(s.k + 1):
-            mask = np.asarray(normal_cone_membership(s, j, dirs))
-            h = np.clip(dirs[mask] @ s.vertices[j], 0.0, None)
-            vals[mask] = np.asarray(w.F(h), dtype=float)
-        return vals
-
-    vals = np.concatenate(mc_map(draw, samples, seed, threads))
-    mu = sphere_area(s.n - 1)
-    mean = float(np.mean(vals))
-    stderr = float(np.std(vals, ddof=1) / math.sqrt(samples))
-    return Estimate(value=mu * mean, stderr=mu * stderr, samples=samples,
-                    seed=seed, quantity="uf")
 
 
 # ---------------------------------------------------------------------------

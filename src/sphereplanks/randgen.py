@@ -61,8 +61,11 @@ def cap_polytope(n, center, radius, n_vertices=64, rng=None):
     """Inscribed polytopal approximation of a cap.
 
     For n = 2 a regular vertex ring on the boundary circle; for higher n
-    random points on the boundary sphere (requires ``rng``).
+    random points on the boundary sphere (requires ``rng``).  The radius
+    must lie in (0, pi/2), where the cap is a proper convex body.
     """
+    if not 0.0 < radius < math.pi / 2.0:
+        raise ValueError(f"cap radius must be in (0, pi/2), got {radius}")
     if n_vertices < 1:
         raise ValueError(f"need at least 1 vertex, got {n_vertices}")
     center = normalize(np.asarray(center, dtype=float))

@@ -1,5 +1,6 @@
 """End-to-end CLI checks: verbs, exit codes, deterministic reports."""
 
+import inspect
 import json
 import math
 import subprocess
@@ -8,6 +9,7 @@ import sys
 import pytest
 
 from sphereplanks import covering as cov
+from sphereplanks import files
 from sphereplanks import gnomonic as gn
 from sphereplanks import linhart as lh
 from sphereplanks import measure as ms
@@ -457,6 +459,17 @@ def test_dimensions_outside_cone_conversion_exit_2(argv, message, capsys):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("radius", ["0", "-1", "2", "pi/2", "inf", "nan"])
+def test_cap_radius_outside_the_open_quarter_turn_exits_2(radius, capsys):
+    # Outside (0, pi/2) the polytope is not the named cap: radius 2 gave a
+    # circumradius of pi - 2, radius 0 a body with no interior.
+    assert main(["gen-body", "--kind", "cap", "--dim", "2",
+                 f"--cap-radius={radius}"]) == 2
+    err = capsys.readouterr().err
+    assert "cap radius must be in (0, pi/2), got" in err
+    assert "got " + str(float(files.parse_angle(radius))) in err
+
+
 def test_cap_polytope_on_the_circle_exits_2(capsys):
     # The vertex ring lives on S^(n-1): the message names --dim, not the
     # ring's dimension 0.
@@ -542,6 +555,20 @@ def test_skipped_antipodal_route_and_default_samples_carry_provenance(
     code, out = run_cli(["verify-prop", "--trials", "2", "--seed", "7"])
     assert code == 0
     assert (json.loads(out)["seed"], json.loads(out)["samples"]) == (7, None)
+
+
+def test_unset_samples_take_the_library_defaults(lune_fan_file):
+    # The CLI states no sample size of its own.
+    def default(fn):
+        return inspect.signature(fn).parameters["samples"].default
+
+    code, out = run_cli(["verify-thm1", lune_fan_file])
+    assert code == 0
+    assert json.loads(out)["thm1"]["samples"] == default(cov.verify_thm1)
+    code, out = run_cli(["verify-linhart", "--simplex", "segment"])
+    assert code == 0
+    assert [v["samples"] for v in json.loads(out)["vertices"]] == \
+        [default(lh.check_vertex_averages)] * 2
 
 
 RADII = ["inf", "1e308", "1e-320", "1e-12", "1e-8", "1e-6", "1e-3", "1",

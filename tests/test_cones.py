@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from sphereplanks import (cap_polytope, make_body, make_stream, polar,
+from sphereplanks import (cap_polytope, cones, make_body, make_stream, polar,
                           random_body, sample_uniform_sphere)
 from sphereplanks.cones import (DEDUP_TOL, cone_generators, dedup_rows,
                                 sweep_direction,
@@ -81,6 +81,32 @@ def test_min_norm_raises_when_the_major_cycles_run_out():
     assert np.allclose(min_norm_point(P, max_iter=2), [0.5, 0.5])
     with pytest.raises(ValueError, match="1 iterations"):
         min_norm_point(P, max_iter=1)
+
+
+def test_min_norm_raises_when_the_best_point_is_already_in_the_corral(
+        monkeypatch):
+    # Corral weights that are not the affine minimizer leave x = (0.9, 0.1)
+    # short of optimal, and its most violating point (0, 1) is in the
+    # corral already.
+    monkeypatch.setattr(cones, "_affine_min_weights",
+                        lambda S: np.array([0.9, 0.1]))
+    with pytest.raises(ValueError, match="point 1 is already in the corral"):
+        min_norm_point(np.eye(2))
+
+
+@pytest.mark.parametrize("S", [np.ones((2, 2)), np.full((2, 2), 1e200)],
+                         ids=["solve-refuses", "non-finite"])
+def test_min_norm_raises_on_a_singular_corral(S, monkeypatch):
+    affine = cones._affine_min_weights
+    with np.errstate(over="ignore"), \
+            pytest.raises(ValueError, match="singular corral of 2 points"):
+        affine(np.asarray(S))
+    # The solver's first two-point corral is replaced by S.
+    monkeypatch.setattr(cones, "_affine_min_weights",
+                        lambda _: affine(np.asarray(S)))
+    with np.errstate(over="ignore"), \
+            pytest.raises(ValueError, match="singular corral of 2 points"):
+        min_norm_point(np.eye(2))
 
 
 @given(n=st.integers(2, 4), seed=st.integers(0, 2 ** 16),

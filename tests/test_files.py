@@ -101,10 +101,9 @@ def test_fan_roundtrip(tmp_path):
     path = tmp_path / "fan.json"
     path.write_text(json.dumps(fan_to_dict(inst)))
     back = load_fan(path)
-    f0 = inst.metadata["fan"]
-    f1 = back.metadata["fan"]
-    assert np.array_equal(f0.boundary_angles, f1.boundary_angles)
-    assert np.array_equal(f0.widen, f1.widen)
+    f0, f1 = inst.metadata, back.metadata
+    assert np.array_equal(f0["boundary_angles"], f1["boundary_angles"])
+    assert np.array_equal(f0["widen"], f1["widen"])
     assert back.B.radius == inst.B.radius
     assert len(back.bodies) == len(inst.bodies)
 
@@ -116,8 +115,7 @@ def test_hemisphere_fan_roundtrip(tmp_path):
     back = load_fan(path)
     assert back.metadata["construction"] == "hemisphere-fan"
     assert back.B.radius == math.pi / 2
-    assert np.array_equal(back.metadata["fan"].widen,
-                          inst.metadata["fan"].widen)
+    assert np.array_equal(back.metadata["widen"], inst.metadata["widen"])
 
 
 def test_fan_dict_sum_field():
@@ -253,4 +251,4 @@ def test_fan_field_lengths_exit_2_naming_the_field(data, message, tmp_path,
 def test_fan_scalar_widen_still_loads():
     angles = [0, math.pi / 2, math.pi, 3 * math.pi / 2, 2 * math.pi]
     inst = fan_from_dict({"dim": 2, "boundary_angles": angles, "widen": 0.1})
-    assert inst.metadata["fan"].widen.tolist() == [0.1] * 4
+    assert inst.metadata["widen"].tolist() == [0.1] * 4

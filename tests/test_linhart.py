@@ -17,7 +17,7 @@ from sphereplanks import (check_7_1, constant_C, constant_weight,
                           sphere_area, spherical_weight, uf, uf_lower_bound)
 from sphereplanks.gnomonic import EuclideanPolytope
 from sphereplanks.linhart import (check_vertex_averages, random_kb_instance,
-                                  sample_spherical_image, uf_via_images)
+                                  sample_spherical_image)
 
 
 # ---------------------------------------------------------------------------
@@ -307,16 +307,23 @@ def test_check_7_1_bad_vertex_index():
 # Chain identity and the minimality search
 # ---------------------------------------------------------------------------
 
-def test_uf_via_images_matches_uf():
+@pytest.mark.parametrize("kind", ["spherical", "constant"])
+def test_vertex_averages_sum_to_uf(kind):
+    # Chain identity: U_f is the sum over vertices of mu(S_j) times the
+    # S_j-average of g.  The two sides come from different draws; the
+    # vertex estimates share one draw, so their stderrs add.
     rng = make_stream(13)
     for n, k in ((2, 2), (3, 3), (3, 1)):
         s = random_simplex(1.0, n, rng, k=k)
-        w = spherical_weight(n)
+        w = constant_weight() if kind == "constant" else spherical_weight(n)
         poly = EuclideanPolytope(n=n, vertices=s.vertices)
         direct = uf(poly, w, samples=300_000, seed=14)
-        via = uf_via_images(s, w, samples=300_000, seed=15)
-        tol = 3.0 * math.hypot(direct.stderr, via.stderr) + 1e-8
-        assert abs(direct.value - via.value) <= tol
+        reports = check_vertex_averages(s, w, samples=300_000, seed=15)
+        via = math.fsum(r.details["mu_Sj"] * r.lhs for r in reports)
+        via_stderr = math.fsum(r.details["mu_Sj"] * r.details["stderr"]
+                               for r in reports)
+        tol = 3.0 * math.hypot(direct.stderr, via_stderr)
+        assert abs(direct.value - via) <= tol, (n, k, direct, via, tol)
 
 
 def test_random_kb_instances_are_valid():

@@ -43,6 +43,7 @@ FANS = {"lune": ["--gaps", "pi/2,pi/2,pi"],
                                "--widen", "0.05"]}
 RADII = ("inf", "1e308", "1e-320", "1e-12", "1e-8", "1e-6", "1e-3", "1",
          "1e9")
+CAP_RADII = ("0", "-1", "2", "pi/2", "inf", "nan")
 MALFORMED_FILES = {
     "not-json.json": "{not json",
     "body-tags.json": '{"dim": 2, "rep": "H", "normals": [[0, 0, -1]], '
@@ -102,6 +103,9 @@ def _fan_argvs():
                                  str(seed), "--threads", threads])
             runs.append(["verify-thm1", name, *MC, "--format", "csv"])
         gens.append(["gen-fan", *extra, "--format", "csv"])
+    # At the library's default sample size.
+    runs += [["verify-thm1", "fan-widened-2.json"],
+             ["verify-thm1", "fan-hemisphere-3.json"]]
     for widen in ("nan", "inf", "-inf"):
         gens.append(["gen-fan", "--gaps", "2pi/3,2pi/3,2pi/3",
                      f"--widen={widen}"])
@@ -128,7 +132,10 @@ def _linhart_argvs():
                          "--format", "csv"])
     runs += [["verify-linhart", "--dim", "2", "--simplex",
               "regular-triangle", *MC],
-             ["verify-prop", "--trials", "2"]]
+             ["verify-prop", "--trials", "2"],
+             # At the library's default sample size.
+             ["verify-linhart"],
+             ["verify-linhart", "--dim", "3", "--simplex", "segment"]]
     for radius in RADII:
         for simplex in ("segment", "random"):
             runs.append(["verify-linhart", "--dim", "3", "--simplex", simplex,
@@ -153,6 +160,8 @@ def _malformed_argvs():
         ["gen-body", "--kind", "cap", "--dim", "1"],
         ["gen-body", "--kind", "lune", "--angle", "half"],
         ["gen-body", "--kind", "cap", "--vertices", "2"],
+        *(["gen-body", "--kind", "cap", f"--cap-radius={radius}"]
+          for radius in CAP_RADII),
         ["gen-fan", "--gaps", "pi/2,pi/2"],
         ["gen-fan", "--gaps", "pi/0,pi"],
         ["gen-fan", "--dim", "9", "--gaps", "pi,pi"],
