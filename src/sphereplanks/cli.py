@@ -41,11 +41,9 @@ def _default_seed():
 
 
 def _weight(name, n):
-    if name == "spherical":
-        return gn.spherical_weight(n)
-    if name == "constant":
-        return gn.constant_weight()
-    raise files.FileFormatError(f"unknown weight {name!r}")
+    """The weight a ``--weight`` choice names; argparse refuses others."""
+    return gn.spherical_weight(n) if name == "spherical" \
+        else gn.constant_weight()
 
 
 def _flatten(payload, prefix=""):

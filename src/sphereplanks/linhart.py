@@ -201,23 +201,28 @@ def uf_lower_bound(R, w, n):
 
 
 def _images(s, vertices, samples, seed, threads, reduce):
-    """``[[reduce(ej, u) for each vertex j in vertices] for each chunk]``
-    of one ``mc_map`` draw, where ej = v_j / R and u are the drawn
-    directions, folded onto the half-sphere D_j, that lie in S_j.
+    """``[[reduce(dirs, a, keep) for each vertex j in vertices] for each
+    chunk]`` of one ``mc_map`` draw of directions ``dirs``, with heights
+    a = dirs @ ej, ej = v_j / R, and ``keep`` marking the directions whose
+    fold sign(a) dirs onto the half-sphere D_j lies in S_j.
 
     The normal cones partition the sphere, so one draw serves every
-    vertex; ``reduce`` keeps what the caller needs of each chunk.
+    vertex.  A fold lies in S_j when a_j is the largest height (a_j >= 0)
+    or the smallest (a_j < 0), to 1e-12: ``normal_cone_membership``'s
+    test in units of R.
     """
-    folds = [(j, s.vertices[j] / s.R) for j in vertices]
+    E = s.vertices / s.R
 
     def draw(rngs, sizes):
         dirs = sample_sphere_batches(s.n - 1, rngs, sizes)
+        heights = np.stack([dirs @ ej for ej in E])
+        hi = heights.max(axis=0) - 1e-12
+        lo = heights.min(axis=0) + 1e-12
         out = []
-        for j, ej in folds:
-            # Fold onto D_j; preserves uniformity on the half-sphere.
-            u = dirs * np.where(dirs @ ej >= 0.0, 1.0, -1.0)[:, None]
-            out.append(reduce(ej, np.compress(
-                normal_cone_membership(s, j, u), u, axis=0)))
+        for j in vertices:
+            a = heights[j]
+            up = a >= 0.0
+            out.append(reduce(dirs, a, (up & (a >= hi)) | (~up & (a <= lo))))
         return out
 
     return mc_map(draw, samples, seed, threads)
@@ -230,7 +235,11 @@ def sample_spherical_image(s, j, samples, seed, threads=1):
     mu(S_j) / mu(D_j), and the accepted samples feed the g-average, so both
     estimates share the same draws.
     """
-    chunks = _images(s, [j], samples, seed, threads, lambda ej, u: u)
+    def folded(dirs, a, keep):
+        return np.compress(keep, dirs * np.where(a >= 0.0, 1.0, -1.0)[:, None],
+                           axis=0)
+
+    chunks = _images(s, [j], samples, seed, threads, folded)
     return np.concatenate([c[0] for c in chunks]), samples
 
 
@@ -244,13 +253,13 @@ def check_vertex_averages(s, w, samples=200_000, seed=0, threads=1,
     correlated, but no verdict combines them.
     """
     vertices = range(s.k + 1) if vertices is None else vertices
-    # Each chunk keeps only the heights <u, ej> of each vertex's directions.
+    # Each chunk keeps only the heights |a| of each vertex's folds.
     chunks = _images(s, vertices, samples, seed, threads,
-                     lambda ej, u: u @ ej)
+                     lambda dirs, a, keep: np.abs(np.compress(keep, a)))
     rhs = constant_C(s.R, w, s.n)
     reports = []
     for i, j in enumerate(vertices):
-        h = np.clip(s.R * np.concatenate([c[i] for c in chunks]), 0.0, None)
+        h = s.R * np.concatenate([c[i] for c in chunks])
         if h.shape[0] == 0:
             raise ValueError("degenerate simplex: empty spherical image "
                              "sample")

@@ -178,23 +178,34 @@ def sample_sphere_batches(n, rngs, sizes):
 
 def sample_cap_batches(cap, rngs, sizes):
     """The points ``sample_uniform_cap(cap, rngs[i], sizes[i])`` gives,
-    stacked in order; a full-sphere cap is normalised in one pass."""
+    stacked in order; a full-sphere or hemisphere cap is normalised in one
+    pass."""
     if cap.radius >= math.pi:
         return sample_sphere_batches(cap.n, rngs, sizes)
+    if cap.radius == math.pi / 2.0:
+        # Negation maps S^n onto itself and swaps the open hemispheres, so
+        # negating the rows on the far side leaves the batch uniform on the
+        # closed hemisphere, one draw per point.
+        x = sample_sphere_batches(cap.n, rngs, sizes)
+        np.negative(x, out=x, where=(x @ cap.center < 0.0)[:, None])
+        return x
     return np.concatenate([sample_uniform_cap(cap, rng, size)
                            for rng, size in zip(rngs, sizes)])
 
 
 def sample_uniform_cap(cap, rng, size=None):
-    """Uniform points on a cap, by rejection from the full sphere.
-
-    Efficient for the large caps (radius >= pi/2) this package works with.
-    A full-sphere cap is sampled directly, and a zero-radius cap returns
-    the center deterministically.
+    """Uniform points on a cap: one draw per point on S^n for the full
+    sphere, and for a hemisphere (radius exactly pi/2) one draw per point
+    reflected into it; other radii by rejection from S^n, in rounds sized
+    from the cap's area.  A zero-radius cap returns the center
+    deterministically.
     """
     if cap.radius >= math.pi:
         return sample_uniform_sphere(cap.n, rng, size)
     m = 1 if size is None else int(size)
+    if cap.radius == math.pi / 2.0:
+        pts = sample_cap_batches(cap, [rng], [m])
+        return pts[0] if size is None else pts
     if cap.radius == 0.0:
         pts = np.tile(cap.center, (m, 1))
         return pts[0] if size is None else pts

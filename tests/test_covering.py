@@ -113,6 +113,21 @@ def test_verify_thm1_refuses_non_cover():
         verify_thm1(broken, samples=20_000, seed=4)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_verify_thm1_refuses_hemisphere_fan_missing_a_lune(n):
+    inst = make_hemisphere_fan(n, _angles(*[math.pi / 3] * 3), widen=0.05)
+    broken = CoveringInstance(B=inst.B, bodies=inst.bodies[::2],
+                              metadata=inst.metadata)
+    samples, seed = 20_000, 6
+    with pytest.raises(CoveringError):
+        verify_thm1(broken, samples=samples, seed=seed)
+    # The gap is a lune of angle pi/3 - 0.05, so it holds that share of pi
+    # of the hemisphere: uniform points on B miss it at that rate.
+    p = (math.pi / 3 - 0.05) / math.pi
+    missed = -check_covering(broken, samples=samples, seed=seed).slack
+    assert abs(missed - p * samples) <= 4 * math.sqrt(samples * p * (1 - p))
+
+
 def test_hemisphere_fan_strong_form():
     angles = _angles(*[math.pi / 4] * 4)
     inst = make_hemisphere_fan(2, angles, widen=0.05)

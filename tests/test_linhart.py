@@ -16,8 +16,10 @@ from sphereplanks import (check_7_1, constant_C, constant_weight,
                           segment_simplex, smallest_enclosing_ball,
                           sphere_area, spherical_weight, uf, uf_lower_bound)
 from sphereplanks.gnomonic import EuclideanPolytope
-from sphereplanks.linhart import (check_vertex_averages, random_kb_instance,
-                                  sample_spherical_image)
+from sphereplanks.linhart import (_images, check_vertex_averages,
+                                  random_kb_instance, sample_spherical_image)
+from sphereplanks.measure import mc_map
+from sphereplanks.sphere import sample_sphere_batches
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +214,42 @@ def test_vertex_averages_are_check_7_1_at_the_same_seed(name, s, kind):
         assert rep.lhs == float(np.mean(g))
         assert rep.details["stderr"] == \
             float(np.std(g, ddof=1) / math.sqrt(g.shape[0]))
+
+
+def _folded_route(s, samples, seed, threads):
+    """Per chunk and vertex, the accepted folded directions u and their
+    heights u @ ej, by folding each direction onto D_j and testing it with
+    ``normal_cone_membership``."""
+    def draw(rngs, sizes):
+        dirs = sample_sphere_batches(s.n - 1, rngs, sizes)
+        out = []
+        for j in range(s.k + 1):
+            ej = s.vertices[j] / s.R
+            u = dirs * np.where(dirs @ ej >= 0.0, 1.0, -1.0)[:, None]
+            u = np.compress(normal_cone_membership(s, j, u), u, axis=0)
+            out.append((u, u @ ej))
+        return out
+
+    return mc_map(draw, samples, seed, threads)
+
+
+@pytest.mark.parametrize("name,s", _image_cases())
+def test_height_partition_matches_the_folded_membership_route(name, s):
+    samples, seed = 40_000, 23  # three chunks
+    want = _folded_route(s, samples, seed, 1)
+    vertices = range(s.k + 1)
+    for threads in (1, 2):
+        got = _images(s, vertices, samples, seed, threads,
+                      lambda dirs, a, keep: np.abs(np.compress(keep, a)))
+        assert len(got) == len(want) == 3
+        for chunk, ref in zip(got, want):
+            for h, (_, h_ref) in zip(chunk, ref):
+                assert np.array_equal(h.view(np.uint64),
+                                      h_ref.view(np.uint64))
+    for j in vertices:
+        acc, _ = sample_spherical_image(s, j, samples, seed, threads=2)
+        ref = np.concatenate([chunk[j][0] for chunk in want])
+        assert np.array_equal(acc.view(np.uint64), ref.view(np.uint64))
 
 
 # ---------------------------------------------------------------------------

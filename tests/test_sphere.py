@@ -275,8 +275,25 @@ def test_batch_samplers_stack_the_one_batch_samplers(radius):
     assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_hemisphere_sampler_reflects_the_first_draws(n):
+    center = np.zeros(n + 1)
+    center[-1] = 1.0
+    cap = SphericalCap(center=center, radius=math.pi / 2)
+    m = 5_000
+    rng = _CountingRng(make_stream(9))
+    pts = sample_uniform_cap(cap, rng, size=m)
+    # One draw per point: the first m points of S^n, each moved to the
+    # center's side by negation.
+    draws = sample_uniform_sphere(n, make_stream(9), size=m)
+    ref = np.where((draws[:, -1] < 0.0)[:, None], -draws, draws)
+    assert rng.rows == m
+    assert np.array_equal(pts.view(np.uint64), ref.view(np.uint64))
+    one = sample_uniform_cap(cap, make_stream(9))
+    assert np.array_equal(one.view(np.uint64), ref[0].view(np.uint64))
+
+
 @pytest.mark.parametrize("n,radius,m", [
-    (2, math.pi / 2, 5_000), (3, math.pi / 2, 5_000), (4, math.pi / 2, 5_000),
     (2, 1.0, 5_000), (3, 1.0, 5_000), (4, 1.0, 5_000),
     # Needs about 1.6e6 draws: more than one round of CAP_ROUND_DRAWS.
     (2, 0.05, 1_000),

@@ -3,7 +3,8 @@
 Its counters read parameters of the wrapped functions by name, so a
 dropped or renamed parameter breaks ``--trace 1`` without failing any
 library test.  This runs one small call of each kind under the installed
-``verifybench.layers.TARGETS``.
+``verifybench.layers.TARGETS``, and calls the wrapped library functions
+that no CLI verb reaches directly.
 """
 
 import sys
@@ -17,6 +18,8 @@ from verifybench.layers import TARGETS, per_layer_metrics  # noqa: E402
 from verifybench.tracer import Tracer  # noqa: E402
 
 import sphereplanks.cli as cli  # noqa: E402
+from sphereplanks import linhart  # noqa: E402
+from sphereplanks.gnomonic import constant_weight  # noqa: E402
 
 SMALL = ["--samples", "2000", "--seed", "3"]
 
@@ -42,6 +45,12 @@ def test_traced_cli_calls_complete(tmp_path, capsys):
     try:
         tracer.phase = tracer.verdict = "timed"
         codes = [cli.main(argv) for argv in calls]
+        # No verb calls these since verify-linhart reads its partition
+        # from one height per vertex.
+        s = linhart.segment_simplex(1.0, 3)
+        linhart.normal_cone_membership(s, 0, s.vertices)
+        linhart.sample_spherical_image(s, 0, 2000, 3)
+        linhart.check_7_1(s, 0, constant_weight(), 2000, 3)
     finally:
         tracer.uninstall()
     capsys.readouterr()
@@ -50,5 +59,7 @@ def test_traced_cli_calls_complete(tmp_path, capsys):
     for name in ("cli.main.calls", "cones.cone_generators.rays_out",
                  "bodies.contains.points", "gnomonic.uf.mc.samples",
                  "covering.check_covering.samples",
-                 "linhart.normal_cone_membership.points"):
+                 "linhart.normal_cone_membership.points",
+                 "linhart.sample_spherical_image.accept_ratio",
+                 "linhart.check_7_1.calls"):
         assert metrics[name]["value"] > 0, name
