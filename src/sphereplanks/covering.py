@@ -49,8 +49,7 @@ def make_lune_fan(n, boundary_angles, widen=None, ball=None):
     and every gap at most pi.  ``widen`` adds the given angle to each lune
     symmetrically, producing an overlapping cover.
     """
-    angles = np.asarray(boundary_angles, dtype=float)
-    gaps = np.diff(angles)
+    angles, gaps = _angles(boundary_angles)
     if np.any(gaps <= 0.0):
         raise ValueError("boundary angles must be strictly increasing")
     if abs(angles[-1] - angles[0] - 2.0 * math.pi) > ANGLE_TOL:
@@ -83,12 +82,11 @@ def make_lune_fan(n, boundary_angles, widen=None, ball=None):
 def make_hemisphere_fan(n, boundary_angles, widen=None):
     """Overlapping lune cover of a hemisphere.
 
-    ``boundary_angles`` subdivide [0, pi]; lune i spans
-    [theta_{i-1}, theta_i + widen_i] with everything kept inside [0, pi],
-    so each lune is contained in the hemisphere B = {<q, x> >= 0}.
+    ``boundary_angles`` theta_0 = 0 < ... < theta_m = pi subdivide [0, pi];
+    lune i spans [theta_i - widen_i / 2, theta_(i+1) + widen_i / 2] clipped
+    to [0, pi], so it lies in the hemisphere B = {<q, x> >= 0}.
     """
-    angles = np.asarray(boundary_angles, dtype=float)
-    gaps = np.diff(angles)
+    angles, gaps = _angles(boundary_angles)
     if np.any(gaps <= 0.0) or abs(angles[0]) > ANGLE_TOL \
             or abs(angles[-1] - math.pi) > ANGLE_TOL:
         raise ValueError("boundary angles must increase from 0 to pi")
@@ -105,6 +103,13 @@ def make_hemisphere_fan(n, boundary_angles, widen=None):
     return CoveringInstance(B=B, bodies=lunes, metadata={
         "construction": "hemisphere-fan", "boundary_angles": angles,
         "widen": widen})
+
+
+def _angles(boundary_angles):
+    angles = np.asarray(boundary_angles, dtype=float)
+    if angles.size < 2:
+        raise ValueError("a fan needs at least two boundary angles")
+    return angles, np.diff(angles)
 
 
 def _fan_plane(n):

@@ -147,8 +147,6 @@ def fan_from_dict(data):
         raise FileFormatError(f"bad fan file: {exc}") from None
     if kind not in FAN_KINDS:
         raise FileFormatError(f"bad kind field {kind!r}")
-    if len(angles) < 2:
-        raise FileFormatError("a fan needs at least two boundary angles")
     if cap is not None and cap.n != n:
         raise FileFormatError(f"bad ball center: {cap.n + 1} entries, "
                               f"expected dim + 1 = {n + 1}")

@@ -142,28 +142,27 @@ class WeightFunction:
 
 
 def spherical_weight(n):
-    """The weight (1+t^2)^(-(n+1)/2) matching spherical mean width in E^n."""
+    """The weight (1+t^2)^(-(n+1)/2) matching spherical mean width in E^n.
+    F(s) = int_0^(atan s) cos^(n-1) by I_k = (s q^(-k/2) + (k-1) I_(k-2)) / k,
+    q = 1 + s^2, from I_0 = atan s or I_1 = s / sqrt(q): no term overflows."""
     p = (n + 1) / 2.0
 
     def f(t):
         t = np.asarray(t, dtype=float)
         return (1.0 + t * t) ** (-p)
 
-    if n == 2:
-        def F(s):
-            s = np.asarray(s, dtype=float)
-            return s / np.sqrt(1.0 + s * s)
-    elif n == 3:
-        def F(s):
-            s = np.asarray(s, dtype=float)
-            return 0.5 * (np.arctan(s) + s / (1.0 + s * s))
-    elif n == 4:
-        def F(s):
-            s = np.asarray(s, dtype=float)
-            return s * (3.0 + 2.0 * s * s) / (3.0 * (1.0 + s * s) ** 1.5)
-    else:
-        def F(s):
-            return _cos_power_integral(n - 1, np.arctan(s))
+    def F(s):
+        if n < 1:
+            raise ValueError(f"need a dimension n >= 1, got {n}")
+        s = np.asarray(s, dtype=float)
+        q = 1.0 + s * s
+        term = s if n % 2 else s / np.sqrt(q)
+        out = np.arctan(s) if n % 2 else term
+        for k in range(3 - n % 2, n, 2):
+            term = term / q
+            out = (term + (k - 1) * out) / k
+        return out
+
     return WeightFunction(kind=f"spherical({n})", f=f, F=F)
 
 
@@ -178,20 +177,6 @@ def constant_weight(c=1.0):
         return c * np.asarray(s, dtype=float)
 
     return WeightFunction(kind="constant", f=f, F=F)
-
-
-def _cos_power_integral(m, x):
-    """int_0^x cos^m t dt, by the reduction I_m = cos^(m-1) x sin x / m
-    + (m-1)/m I_(m-2) from I_0 = x or I_1 = sin x.  With t = atan u,
-    ``_cos_power_integral(n - 1, atan s)`` is int_0^s (1+u^2)^(-(n+1)/2)."""
-    if m < 0:
-        raise ValueError(f"need a power m >= 0, got {m}")
-    x = np.asarray(x, dtype=float)
-    c, s = np.cos(x), np.sin(x)
-    out = x if m % 2 == 0 else s
-    for k in range(2 + m % 2, m + 1, 2):
-        out = c ** (k - 1) * s / k + (k - 1) / k * out
-    return out
 
 
 # ---------------------------------------------------------------------------

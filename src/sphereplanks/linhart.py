@@ -22,6 +22,8 @@ from .sphere import (graded, integrate, make_stream, sample_sphere_batches,
 SEB_TOL = 1e-10
 #: Tolerance, relative to R, of the checks that a simplex lies in B.
 BALL_TOL = 1e-9
+#: Largest R: (2R)^2 and sums of squares of 1e6 R-sized values are finite.
+MAX_RADIUS = 1e150
 
 
 # ---------------------------------------------------------------------------
@@ -116,12 +118,13 @@ def _check_enclosing_ball(V, R):
 
 
 def _check_ball(R, n):
-    """Refuse a dimension n < 1, or a radius R <= 0 or whose square is not a
-    normal float, at which squared vertex norms overflow or lose digits."""
+    """Refuse n < 1, R <= 0, R > MAX_RADIUS, or R^2 not a normal float."""
     if not (np.finfo(float).tiny <= float(R) * float(R) < math.inf
             and R > 0.0 and n >= 1):
         raise ValueError(f"need radius R > 0 and dimension n >= 1, with R^2 "
                          f"a normal float, got R = {R}, n = {n}")
+    if R > MAX_RADIUS:
+        raise ValueError(f"need R <= {MAX_RADIUS:g}, got R = {R}, n = {n}")
 
 
 def segment_simplex(R, n):
@@ -266,10 +269,13 @@ def check_vertex_averages(s, w, samples=200_000, seed=0, threads=1,
         g = np.asarray(w.F(h), dtype=float)
         lhs = float(np.mean(g))
         stderr = float(np.std(g, ddof=1) / math.sqrt(g.shape[0])) if g.shape[0] > 1 else 0.0
+        # rhs is exact to QUAD_TOL relative, which outweighs a flat F's stderr.
+        sigma = max(stderr, QUAD_TOL * rhs)
         mu_sj = sphere_area(s.n - 1) / 2.0 * h.shape[0] / samples
         reports.append(three_sigma(
-            "vertex_average_inequality", lhs, rhs, stderr, ">=",
-            "lhs + 3 stderr >= rhs",
+            "vertex_average_inequality", lhs, rhs, sigma, ">=",
+            "lhs + 3 stderr >= rhs" if sigma == stderr
+            else "lhs + 3 QUAD_TOL rhs >= rhs",
             details={"vertex": j, "mu_Sj": mu_sj, "stderr": stderr,
                      "weight": w.kind, "seed": seed, "samples": samples,
                      "accepted": int(h.shape[0])}))
@@ -299,26 +305,20 @@ def make_kb_instance(R, vertices):
 
 
 def random_kb_instance(R, n, rng):
-    """Random member of K(B): boundary/interior points re-centered and
-    re-scaled until the enclosing-ball check passes."""
-    for _ in range(100):
-        m = int(rng.integers(3, 9))  # 3 to 8 points
-        if rng.random() < 0.5:
-            p = R * sample_uniform_sphere(n - 1, rng)
-            pts = np.vstack([p, -p,
-                             R * rng.uniform(0.2, 1.0, size=(m - 2, 1))
-                             * sample_uniform_sphere(n - 1, rng, size=m - 2)])
-        else:
-            pts = R * sample_uniform_sphere(n - 1, rng, size=m)
-            c, r = smallest_enclosing_ball(pts)
-            if r <= 0.0:
-                continue
-            pts = (pts - c) * (R / r)
-        try:
-            return make_kb_instance(R, pts)
-        except ValueError:
-            continue
-    raise ValueError(f"no K(B) instance found for R = {R}, n = {n}")
+    """Random member of K(B), with B as its smallest enclosing ball by
+    construction: a diametral pair +-p and points inside B, or boundary
+    points moved and scaled onto their own smallest enclosing ball."""
+    m = int(rng.integers(3, 9))  # 3 to 8 points
+    if rng.random() < 0.5:
+        p = R * sample_uniform_sphere(n - 1, rng)
+        pts = np.vstack([p, -p,
+                         R * rng.uniform(0.2, 1.0, size=(m - 2, 1))
+                         * sample_uniform_sphere(n - 1, rng, size=m - 2)])
+    else:
+        pts = R * sample_uniform_sphere(n - 1, rng, size=m)
+        c, r = smallest_enclosing_ball(pts)
+        pts = (pts - c) * (R / r)
+    return EuclideanPolytope(n=n, vertices=pts)
 
 
 def min_uf_search(R, w, n=2, trials=50, samples=None, seed=0, threads=1):

@@ -572,7 +572,8 @@ def test_unset_samples_take_the_library_defaults(lune_fan_file):
 
 
 RADII = ["inf", "1e308", "1e-320", "1e-12", "1e-8", "1e-6", "1e-3", "1",
-         "1e9", "1e-160", "1e-100", "1e100", "1e155"]
+         "1e9", "1e-160", "1e-100", "1e100", "1e150", "6e153", "7e153",
+         "1.3e154", "1e155"]
 LINHART_VERBS = {"segment": ["verify-linhart", "--simplex", "segment"],
                  "random": ["verify-linhart", "--simplex", "random"],
                  "prop": ["verify-prop", "--trials", "3"]}
@@ -583,24 +584,26 @@ LINHART_VERBS = {"segment": ["verify-linhart", "--simplex", "segment"],
 @pytest.mark.parametrize("argv", LINHART_VERBS.values(),
                          ids=list(LINHART_VERBS))
 def test_linhart_radii_exit_0_or_2(argv, radius, capsys):
-    # Any R > 0 whose square is a normal float runs; the rest are refused
-    # with exit 2 and a message naming R, never a traceback or a warning.
+    # Any R > 0 up to 1e150 whose square is a normal float runs; the rest
+    # are refused with exit 2 and a message naming R, never a traceback or
+    # a warning.  Above 1e150, (2R)^2 or a sum of squares can overflow.
     code = main([*argv, "--dim", "3", f"--radius={radius}",
                  "--samples", "2000"])
     R, err = float(radius), capsys.readouterr().err
-    assert code == (0 if sys.float_info.min <= R * R < math.inf else 2), err
+    assert code == (0 if sys.float_info.min <= R * R and R <= 1e150
+                    else 2), err
     assert code == 0 or f"got R = {R}," in err
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("weight", ["spherical", "constant"])
-@pytest.mark.parametrize("dim", ["2", "3"])
+@pytest.mark.parametrize("dim", ["2", "3", "4", "5"])
 @pytest.mark.parametrize("verb", LINHART_VERBS)
 def test_linhart_verbs_scale_with_the_radius(verb, dim, weight, capsys):
     # Every tolerance is relative to R, so the verdicts hold from tiny to
     # huge balls, without an overflow or underflow warning on the way.
     for radius in ("1e-100", "1e-12", "1e-8", "1", "5", "1e3", "1e9",
-                   "1e100"):
+                   "1e100", "1e150"):
         code = main([*LINHART_VERBS[verb], "--dim", dim, "--weight", weight,
                      f"--radius={radius}", "--samples", "2000"])
         assert code == 0, (radius, capsys.readouterr())

@@ -36,6 +36,13 @@ def test_fan_requires_increasing_angles():
         make_lune_fan(2, _angles(3.5, 2 * math.pi - 3.5))  # gap > pi
 
 
+@pytest.mark.parametrize("make", [make_lune_fan, make_hemisphere_fan])
+def test_fan_needs_two_boundary_angles(make):
+    for angles in ([], [0.0]):
+        with pytest.raises(ValueError, match="at least two boundary angles"):
+            make(2, angles)
+
+
 def test_widen_validation():
     with pytest.raises(ValueError):
         make_lune_fan(2, _angles(*[math.pi / 2] * 4), widen=-0.1)

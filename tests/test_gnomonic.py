@@ -137,19 +137,32 @@ def test_hyperplane_incidence_is_preserved():
 # Weights
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_spherical_weight_closed_form_F(n):
+@pytest.mark.parametrize("n", range(2, 10))
+def test_spherical_weight_F_matches_quadrature_above_dimension_4(n):
     w = spherical_weight(n)
-    for s in (0.0, 0.3, 1.0, 2.5, 10.0):
-        oracle, _ = quad(lambda t: (1.0 + t * t) ** (-(n + 1) / 2.0),
-                         0.0, s, epsabs=1e-12)
-        assert float(w.F(s)) == pytest.approx(oracle, abs=1e-10)
-    # f > 0, F(0) = 0 and F strictly increasing on a grid.
-    grid = np.linspace(0.0, 10.0, 1000)
-    assert np.all(w.f(grid) > 0.0)
-    F = w.F(grid)
-    assert abs(float(F[0])) <= 1e-12
-    assert np.all(np.diff(F) > 0.0)
+    s = np.array([0.0, 1e-6, 0.1, 0.5, 1.0, 2.0, 7.5, 40.0, 1e4])
+    ref = [quad(lambda t: float(w.f(t)), 0.0, x, epsabs=1e-14,
+                epsrel=1e-13, limit=200)[0] for x in s]
+    assert np.all(w.f(s) > 0.0)
+    assert np.allclose(w.F(s), ref, rtol=1e-13, atol=1e-15)
+    assert float(w.F(0.5)) == pytest.approx(ref[3], rel=1e-13)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", range(2, 10))
+def test_spherical_weight_F_is_finite_and_bounded_for_huge_s(n):
+    # F rises to int_0^{pi/2} cos^(n-1) (Wallis); to rounding it stays
+    # nondecreasing and below that limit up to s = 1e154, where s^2 is
+    # still finite.
+    limit = math.pi / 2.0 if n % 2 else 1.0
+    for k in range(3 - n % 2, n, 2):
+        limit *= (k - 1) / k
+    F = spherical_weight(n).F(np.concatenate([[0.0],
+                                              np.logspace(-13, 154, 20001)]))
+    ulp = np.finfo(float).eps * limit
+    assert np.all(np.isfinite(F))
+    assert np.all(np.diff(F) >= -4.0 * ulp)
+    assert np.max(F) <= limit + 4.0 * ulp
 
 
 def test_spherical_weight_generic_dimension():
@@ -308,16 +321,6 @@ def test_projection_report_states_both_sample_counts():
     d = rep.to_dict()
     assert d["samples"] == default_samples(4) == 4_000_000
     assert d["flat_samples"] == 1_000_000
-
-
-@pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
-def test_spherical_weight_F_matches_quadrature_above_dimension_4(n):
-    w = spherical_weight(n)
-    s = np.array([0.0, 1e-6, 0.1, 0.5, 1.0, 2.0, 7.5, 40.0, 1e4])
-    ref = [quad(lambda t: float(w.f(t)), 0.0, x, epsabs=1e-14,
-                epsrel=1e-13, limit=200)[0] for x in s]
-    assert np.allclose(w.F(s), ref, rtol=1e-13, atol=1e-15)
-    assert float(w.F(0.5)) == pytest.approx(ref[3], rel=1e-13)
 
 
 RADII = (0.5, 1.0, 2.0, 5.0, 10.0, 100.0, 1e3, 1e4, 1e6)

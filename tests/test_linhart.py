@@ -15,9 +15,11 @@ from sphereplanks import (check_7_1, constant_C, constant_weight,
                           regular_triangle, sample_uniform_sphere,
                           segment_simplex, smallest_enclosing_ball,
                           sphere_area, spherical_weight, uf, uf_lower_bound)
+from sphereplanks.cones import min_norm_point
 from sphereplanks.gnomonic import EuclideanPolytope
 from sphereplanks.linhart import (_images, check_vertex_averages,
-                                  random_kb_instance, sample_spherical_image)
+                                  make_kb_instance, random_kb_instance,
+                                  sample_spherical_image)
 from sphereplanks.measure import mc_map
 from sphereplanks.sphere import sample_sphere_batches
 
@@ -365,11 +367,32 @@ def test_vertex_averages_sum_to_uf(kind):
 
 
 def test_random_kb_instances_are_valid():
-    rng = make_stream(16)
-    for _ in range(20):
-        inst = random_kb_instance(1.0, 2, rng)
-        c, r = smallest_enclosing_ball(inst.vertices)
-        assert np.linalg.norm(c) < 1e-7 and abs(r - 1.0) < 1e-7
+    # Welzl's ball is B, and so is what a second algorithm sees: every
+    # point lies in B, and Wolfe's min-norm point puts the origin in the
+    # hull of the points on the boundary sphere.
+    for n in (2, 3, 4, 5):
+        for seed in (16, 17, 18):
+            rng = make_stream(seed)
+            for _ in range(20):
+                R = float(rng.uniform(0.5, 3.0))
+                P = random_kb_instance(R, n, rng).vertices
+                c, r = smallest_enclosing_ball(P)
+                assert np.linalg.norm(c) < 1e-7 * R and abs(r - R) < 1e-7 * R
+                norms = np.linalg.norm(P, axis=1)
+                assert np.all(norms <= R * (1.0 + 1e-9))
+                x = min_norm_point(P[norms >= R * (1.0 - 1e-9)])
+                assert np.linalg.norm(x) <= 1e-9 * R, (n, seed)
+
+
+def test_make_kb_instance_checks_the_enclosing_ball():
+    # A diametral pair with one point inside spans K(B); moved off the
+    # centre, or shrunk, the same points have another enclosing ball.
+    pts = np.array([[2.0, 0.0, 0.0], [-2.0, 0.0, 0.0], [0.5, 1.0, 0.3]])
+    poly = make_kb_instance(2.0, pts)
+    assert poly.n == 3 and np.array_equal(poly.vertices, pts)
+    for bad in (pts + 0.1, 0.9 * pts):
+        with pytest.raises(ValueError, match="enclosing ball"):
+            make_kb_instance(2.0, bad)
 
 
 def test_min_uf_search_passes():

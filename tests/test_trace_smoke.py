@@ -51,6 +51,8 @@ def test_traced_cli_calls_complete(tmp_path, capsys):
         linhart.normal_cone_membership(s, 0, s.vertices)
         linhart.sample_spherical_image(s, 0, 2000, 3)
         linhart.check_7_1(s, 0, constant_weight(), 2000, 3)
+        # Nor this, since K(B) members are built with B as their ball.
+        linhart.make_kb_instance(1.0, s.vertices)
     finally:
         tracer.uninstall()
     capsys.readouterr()

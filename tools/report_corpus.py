@@ -43,6 +43,7 @@ FANS = {"lune": ["--gaps", "pi/2,pi/2,pi"],
                                "--widen", "0.05"]}
 RADII = ("inf", "1e308", "1e-320", "1e-12", "1e-8", "1e-6", "1e-3", "1",
          "1e9")
+HUGE_RADII = ("1e120", "1e150", "6e153", "7e153", "1.3e154")
 CAP_RADII = ("0", "-1", "2", "pi/2", "inf", "nan")
 MALFORMED_FILES = {
     "not-json.json": "{not json",
@@ -142,6 +143,12 @@ def _linhart_argvs():
                          f"--radius={radius}", "--samples", "2000"])
         runs.append(["verify-prop", "--dim", "3", f"--radius={radius}",
                      "--trials", "3", "--samples", "2000"])
+    # At the library's default sizes, where F saturates on S^4 and the
+    # sums of squares of R-sized values near the largest radii.
+    for radius in HUGE_RADII:
+        runs += [["verify-linhart", "--dim", "4", "--weight", "spherical",
+                  "--simplex", "segment", f"--radius={radius}"],
+                 ["verify-prop", "--dim", "4", f"--radius={radius}"]]
     return runs
 
 
