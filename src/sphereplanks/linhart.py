@@ -16,8 +16,9 @@ import numpy as np
 
 from .gnomonic import QUAD_TOL, EuclideanPolytope, WeightFunction, uf
 from .measure import VerificationReport, mc_map, three_sigma
-from .sphere import (graded, integrate, make_stream, sample_sphere_batches,
-                     sample_uniform_sphere, sphere_area)
+from .sphere import (graded, integrate, make_stream, row_blocks,
+                     sample_sphere_batches, sample_uniform_sphere,
+                     sphere_area)
 
 SEB_TOL = 1e-10
 #: Tolerance, relative to R, of the checks that a simplex lies in B.
@@ -206,19 +207,23 @@ def uf_lower_bound(R, w, n):
 def _images(s, vertices, samples, seed, threads, reduce):
     """``[[reduce(dirs, a, keep) for each vertex j in vertices] for each
     chunk]`` of one ``mc_map`` draw of directions ``dirs``, with heights
-    a = dirs @ ej, ej = v_j / R, and ``keep`` marking the directions whose
-    fold sign(a) dirs onto the half-sphere D_j lies in S_j.
+    a = (E @ dirs.T)[j], E = vertices / R, and ``keep`` marking the
+    directions whose fold sign(a) dirs onto the half-sphere D_j lies in
+    S_j.
 
     The normal cones partition the sphere, so one draw serves every
     vertex.  A fold lies in S_j when a_j is the largest height (a_j >= 0)
     or the smallest (a_j < 0), to 1e-12: ``normal_cone_membership``'s
-    test in units of R.
+    test in units of R.  The heights are one product per row block, so
+    BLAS runs them on the calling thread.
     """
     E = s.vertices / s.R
 
     def draw(rngs, sizes):
         dirs = sample_sphere_batches(s.n - 1, rngs, sizes)
-        heights = np.stack([dirs @ ej for ej in E])
+        heights = np.empty((E.shape[0], dirs.shape[0]))
+        for rows, dots in row_blocks(E, dirs):  # vertex-major
+            heights[:, rows] = dots
         hi = heights.max(axis=0) - 1e-12
         lo = heights.min(axis=0) + 1e-12
         out = []

@@ -207,10 +207,11 @@ def test_vertex_averages_are_check_7_1_at_the_same_seed(name, s, kind):
                                               3 - threads).to_dict()
     # Reference: the average over the accepted directions themselves, as
     # check_7_1 took it before one draw served every vertex.  The heights
-    # are the same row products, taken chunk by chunk.
+    # are the same dot products with E = vertices / R, taken chunk by chunk.
+    E = s.vertices / s.R
     for j, rep in enumerate(reports):
         acc, total = sample_spherical_image(s, j, samples, seed)
-        h = np.clip(s.R * (acc @ (s.vertices[j] / s.R)), 0.0, None)
+        h = np.clip(s.R * (acc @ E.T)[:, j], 0.0, None)
         g = np.asarray(w.F(h), dtype=float)
         assert (rep.details["accepted"], total) == (acc.shape[0], samples)
         assert rep.lhs == float(np.mean(g))
@@ -220,16 +221,18 @@ def test_vertex_averages_are_check_7_1_at_the_same_seed(name, s, kind):
 
 def _folded_route(s, samples, seed, threads):
     """Per chunk and vertex, the accepted folded directions u and their
-    heights u @ ej, by folding each direction onto D_j and testing it with
-    ``normal_cone_membership``."""
+    heights (u @ E.T)[:, j], E = vertices / R, by folding each direction
+    onto D_j and testing it with ``normal_cone_membership``."""
+    E = s.vertices / s.R
+
     def draw(rngs, sizes):
         dirs = sample_sphere_batches(s.n - 1, rngs, sizes)
+        heights = dirs @ E.T
         out = []
         for j in range(s.k + 1):
-            ej = s.vertices[j] / s.R
-            u = dirs * np.where(dirs @ ej >= 0.0, 1.0, -1.0)[:, None]
+            u = dirs * np.where(heights[:, j] >= 0.0, 1.0, -1.0)[:, None]
             u = np.compress(normal_cone_membership(s, j, u), u, axis=0)
-            out.append((u, u @ ej))
+            out.append((u, (u @ E.T)[:, j]))
         return out
 
     return mc_map(draw, samples, seed, threads)

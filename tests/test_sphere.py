@@ -179,6 +179,34 @@ def test_streams_are_reproducible_and_independent():
     assert not np.array_equal(x1, x2)
 
 
+def test_batch_streams_are_uncorrelated():
+    # The 64 streams one Monte Carlo run draws from: the sample correlation
+    # of two independent normal sequences of length m has standard error
+    # 1/sqrt(m); every one of the 2,016 pairs stays within 5 of those.
+    m = 20_000
+    g = np.stack([make_stream(17, (b,)).standard_normal(m)
+                  for b in range(64)])
+    corr = np.corrcoef(g)
+    off = corr[~np.eye(64, dtype=bool)]
+    assert np.max(np.abs(off)) <= 5.0 / math.sqrt(m)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_batch_sampler_second_moments(n):
+    # Uniform on S^n: E[x x^T] = I / (n+1).  Per entry the standard error
+    # is sqrt(var / m), with E[x_i^4] = 3 / ((n+1)(n+3)) on the diagonal
+    # and E[x_i^2 x_j^2] = 1 / ((n+1)(n+3)) off it; bound 5 of them.
+    m = 1_000_000
+    sizes = [m // 64] * 64
+    x = sample_sphere_batches(n, [make_stream(19, (b,)) for b in range(64)],
+                              sizes)
+    moments = x.T @ x / m
+    d, p = n + 1, 1.0 / ((n + 1) * (n + 3))
+    sigma = np.full((d, d), math.sqrt(p / m))
+    np.fill_diagonal(sigma, math.sqrt((3.0 * p - 1.0 / d ** 2) / m))
+    assert np.all(np.abs(moments - np.eye(d) / d) <= 5.0 * sigma)
+
+
 class _CountingRng:
     """Generator wrapper that counts the Gaussian rows drawn through it."""
 
@@ -236,7 +264,7 @@ def test_uniform_sphere_resamples_zero_rows(zero_draws):
 
 
 class _ZeroFirstFillRng:
-    """Philox stream whose first ``zero_draws`` Gaussian fills or draws
+    """Seeded stream whose first ``zero_draws`` Gaussian fills or draws
     start with an all-zero row; takes a shape or an ``out=`` array."""
 
     def __init__(self, seed, zero_draws):
