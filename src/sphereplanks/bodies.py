@@ -8,23 +8,24 @@ dual representations:
 
 The sign convention makes polarity a pure representation swap.  Sets
 without interior points (e.g. polars of full-dimensional bodies) are
-representable but flagged ``is_body=False``; volume and inradius refuse
-them.
+representable; their ``is_body`` is False, derived from the interior
+solve, which runs once, on first use.  Volume is an exact 0 for them, and
+inradius and mean width refuse them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import cone_generators, dedup_rows, max_min_inner
+from .cones import FEAS_TOL, cone_generators, dedup_rows, max_min_inner
 from .sphere import SphericalCap, geodesic_distance, row_blocks, unit_vector
 
 CONTAIN_TOL = 1e-12
 CROSS_TOL = 1e-9
-SOLVER_TOL = 1e-9
 
 
 class BodyError(ValueError):
@@ -48,12 +49,29 @@ class Lune:
 
 @dataclass(frozen=True)
 class ConvexBody:
+    """Both representations of one body.  Its two min-norm problems are
+    each solved once, on first use, and kept: ``interior`` decides
+    ``is_body`` and gives the inradius, ``support`` the circumradius."""
+
     n: int
     h_normals: np.ndarray
     v_generators: np.ndarray
-    is_body: bool = True
     lune: Lune | None = None
     tag: str = ""
+
+    @functools.cached_property
+    def interior(self):
+        """(sin r, incenter), or (0.0, None) without interior (Gordan)."""
+        return max_min_inner(-self.h_normals)
+
+    @functools.cached_property
+    def support(self):
+        """(cos R, circumcenter), or (0.0, None) in no open hemisphere."""
+        return max_min_inner(self.v_generators)
+
+    @property
+    def is_body(self):
+        return self.interior[1] is not None
 
 
 @dataclass(frozen=True)
@@ -65,7 +83,7 @@ class BodyMetrics:
     circumradius: float | None = None
     circumcenter: np.ndarray | None = None
     hemisphere_flagged: bool = False
-    solver_tolerance: float = SOLVER_TOL
+    solver_tolerance: float = FEAS_TOL
 
 
 def _as_unit_rows(vectors, d):
@@ -84,7 +102,7 @@ def make_body(n, h_normals=None, v_generators=None, lune=None, tag=""):
     Missing representations are computed by cone conversion (ambient
     dimension <= 5).  Raises ``BodyError`` when the set is not contained in
     a closed hemisphere or the representations are inconsistent.  A set
-    with empty interior is accepted but flagged ``is_body=False``.
+    with empty interior is accepted; its ``is_body`` is False.
     """
     d = n + 1
     if h_normals is None and v_generators is None:
@@ -107,12 +125,7 @@ def make_body(n, h_normals=None, v_generators=None, lune=None, tag=""):
         raise BodyError(
             f"inconsistent dual representations: max <u_i, v_j> = {np.max(cross):.3e}"
         )
-
-    # Interior nonempty iff 0 not in conv(h_normals) (Gordan).
-    slack, _ = max_min_inner(-H)
-    is_body = slack > SOLVER_TOL
-    return ConvexBody(n=n, h_normals=H, v_generators=V, is_body=is_body,
-                      lune=lune, tag=tag)
+    return ConvexBody(n=n, h_normals=H, v_generators=V, lune=lune, tag=tag)
 
 
 def contains(body, x, tol=CONTAIN_TOL):
@@ -147,13 +160,10 @@ def hyperplane_meets(body, u):
 def polar(body):
     """Polar body K* = {u : <u, v> <= 0 for all v in K}.
 
-    Pure representation swap; the result may be flagged non-body.
+    Pure representation swap; the result may have no interior.
     """
-    H = body.v_generators
-    V = body.h_normals
-    slack, _ = max_min_inner(-H)
-    return ConvexBody(n=body.n, h_normals=H, v_generators=V,
-                      is_body=slack > SOLVER_TOL, tag=f"polar({body.tag})")
+    return ConvexBody(n=body.n, h_normals=body.v_generators,
+                      v_generators=body.h_normals, tag=f"polar({body.tag})")
 
 
 def inradius(body):
@@ -164,11 +174,8 @@ def inradius(body):
     """
     if not body.is_body:
         raise BodyError("inradius is undefined for a set without interior")
-    s, x = max_min_inner(-body.h_normals)
-    if x is None:
-        raise BodyError("infeasible interior (degenerate body)")
-    r = math.asin(min(1.0, s))
-    return BodyMetrics(inradius=r, incenter=x)
+    s, x = body.interior
+    return BodyMetrics(inradius=math.asin(min(1.0, s)), incenter=x)
 
 
 def inradius_value(body):
@@ -183,7 +190,7 @@ def circumradius(body):
     smallest cap containing the generators contains the body.  Bodies not
     contained in an open hemisphere get R = pi/2 with a flag.
     """
-    c, e = max_min_inner(body.v_generators)
+    c, e = body.support
     if e is None:
         return BodyMetrics(circumradius=math.pi / 2.0, circumcenter=None,
                            hemisphere_flagged=True)

@@ -46,15 +46,16 @@ def min_norm_point(points, tol=1e-12, max_iter=1000):
     m, d = P.shape
     if m == 0:
         raise ValueError("empty point set")
-    scale = max(1.0, float(np.max(np.sum(P * P, axis=1))))
+    sq = np.sum(P * P, axis=1)
+    scale = max(1.0, float(sq.max()))
 
-    idx = [int(np.argmin(np.sum(P * P, axis=1)))]
+    idx = [int(sq.argmin())]
     lam = np.array([1.0])
 
     for _ in range(max_iter):
         x = lam @ P[idx]
         dots = P @ x
-        j = int(np.argmin(dots))
+        j = int(dots.argmin())
         if dots[j] >= x @ x - tol * scale:
             return x
         if j in idx:
@@ -67,7 +68,7 @@ def min_norm_point(points, tol=1e-12, max_iter=1000):
         # survives the cut below.
         for _ in range(max_iter):
             alpha = _affine_min_weights(P[idx])
-            if np.min(alpha) > 1e-14:
+            if alpha.min() > 1e-14:
                 lam = alpha
                 break
             mask = alpha < 1e-14
@@ -88,10 +89,8 @@ def _affine_min_weights(S):
     """Weights of the min-norm point of the affine hull of rows of S;
     ``ValueError`` when that hull is singular."""
     k = S.shape[0]
-    M = np.empty((k + 1, k + 1))
+    M = np.ones((k + 1, k + 1))
     M[:k, :k] = S @ S.T
-    M[k, :k] = 1.0
-    M[:k, k] = 1.0
     M[k, k] = 0.0
     rhs = np.zeros(k + 1)
     rhs[k] = 1.0

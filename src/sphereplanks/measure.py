@@ -161,7 +161,7 @@ def _fraction_estimate(hits, total, scale, seed, quantity):
 def volume_mc(body, samples=None, seed=0, threads=1):
     """Spherical Lebesgue measure sigma(K) by rejection sampling.
 
-    Lower-dimensional sets (``is_body=False``) have exact measure zero and
+    Lower-dimensional sets (``is_body`` False) have exact measure zero and
     return an exact 0 estimate.
     """
     if not body.is_body:
@@ -177,6 +177,7 @@ def mean_width_mc(body, samples=None, seed=0, threads=1):
     """Spherical mean width U(K): half the measure of directions u whose
     great subsphere u-perp meets K."""
     samples = default_samples(body.n) if samples is None else samples
+    body.is_body  # its one solve runs here, not in a worker thread
     hits, total = mc_hit_fraction(lambda pts: bd.hyperplane_meets(body, pts),
                                   body.n, samples, seed, threads)
     return _fraction_estimate(hits, total, 0.5 * sphere_area(body.n), seed,

@@ -152,10 +152,15 @@ def _ragged_batch(data, A):
         data.draw(st.integers(1, step - 1))
 
 
-def _axis_rows(n, k, rng):
-    """k signed coordinate axes of R^(n+1) (repeats allowed)."""
-    return np.eye(n + 1)[rng.integers(0, n + 1, k)] * \
-        rng.choice([-1.0, 1.0], (k, 1))
+def _axis_body(n, k, rng):
+    """A record whose facet rows and generators are the same k coordinate
+    axes of R^(n+1) (repeats allowed).  Each axis has one random sign, so
+    0 is not in the rows' hull and the set has interior (Gordan)."""
+    signed = np.eye(n + 1) * rng.choice([-1.0, 1.0], n + 1)
+    A = signed[rng.integers(0, n + 1, k)]
+    body = ConvexBody(n=n, h_normals=A, v_generators=A)
+    assert body.is_body
+    return body
 
 
 def _exact_batch(n, m, rng):
@@ -188,10 +193,9 @@ def test_blocked_cone_tests_match_one_shot_on_exact_products(n, k, seed, data):
     exactly, whatever the blocking; exact coordinates then put points on a
     facet and +-tol off it, so turning ``<=`` into ``<`` fails here."""
     rng = make_stream(seed)
-    A = _axis_rows(n, k, rng)
-    body = ConvexBody(n=n, h_normals=A, v_generators=A)
-    _assert_blocked_equals_one_shot(body,
-                                    _exact_batch(n, _ragged_batch(data, A), rng))
+    body = _axis_body(n, k, rng)
+    _assert_blocked_equals_one_shot(
+        body, _exact_batch(n, _ragged_batch(data, body.h_normals), rng))
 
 
 @given(n=st.integers(2, 4), vertices=st.integers(8, 40),
@@ -212,8 +216,7 @@ def test_blocked_cone_tests_match_one_shot_on_cap_polytopes(n, vertices, seed,
 def test_blocked_cone_tests_with_one_point_per_block(n):
     # k * d > BLOCK_ENTRIES, so every block holds a single point.
     rng = make_stream(n)
-    A = _axis_rows(n, BLOCK_ENTRIES // (n + 1) + 1, rng)
-    body = ConvexBody(n=n, h_normals=A, v_generators=A)
+    body = _axis_body(n, BLOCK_ENTRIES // (n + 1) + 1, rng)
     _assert_blocked_equals_one_shot(body, _exact_batch(n, 6, rng))
 
 
@@ -340,14 +343,19 @@ def test_polar_of_lune_is_an_arc():
 
 def test_radius_duality_on_random_bodies():
     """r(K*) = pi/2 - R(K) -- the polar cap of the circumball is the
-    largest cap in the polar body."""
+    largest cap in the polar body.  Both radii come from one min-norm
+    problem, over V and over -V, so they agree to a few ulp of pi/2."""
     rng = make_stream(16)
-    for n in (2, 3):
-        for _ in range(10):
-            body = random_body(n, rng)
+    for n in (2, 3, 4):
+        bodies = [random_body(n, rng) for _ in range(10)]
+        bodies += [cap_polytope(n, sample_uniform_sphere(n, rng), radius,
+                                n_vertices=n + 9, rng=rng)
+                   for radius in (0.2, 0.7, 1.3)]
+        for body in bodies:
             r_polar = inradius(polar(body)).inradius
             R = circumradius(body).circumradius
-            assert abs(r_polar - (math.pi / 2.0 - R)) < 1e-9
+            assert abs(r_polar - (math.pi / 2.0 - R)) <= \
+                4 * math.ulp(math.pi / 2.0)
 
 
 # ---------------------------------------------------------------------------

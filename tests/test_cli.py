@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from sphereplanks import cones
 from sphereplanks import covering as cov
 from sphereplanks import files
 from sphereplanks import gnomonic as gn
@@ -658,3 +659,46 @@ def test_csv_keeps_nested_reports(hemi_fan_file):
         for key in ("lhs", "rhs", "slack", "tolerance"):
             assert float(flat[f"vertices.{j}.{key}"]) == vertex[key]
     assert "vertices.2.lhs" not in flat
+
+
+def _wolfe_calls(argv, monkeypatch):
+    """How often ``main(argv)`` calls Wolfe's ``cones.min_norm_point``,
+    counted through the module attribute, as the tracer wraps it."""
+    solve, calls = cones.min_norm_point, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(cones, "min_norm_point", counted)
+        assert run_cli(argv)[0] == 0
+    return len(calls)
+
+
+@pytest.mark.parametrize("argv, solves", [
+    (["inradius", "{body}"], 1),
+    (["circumradius", "{body}"], 1),
+    (["polar", "{body}"], 1),
+    (["verify-thm2", "{body}", "--samples", "1000"], 1),
+    (["verify-thm2", "{lune}", "--samples", "1000"], 1),
+    (["gen-body", "--kind", "cap", "--dim", "3"], 0),
+    (["gen-body", "--kind", "octant", "--dim", "3"], 0),
+    (["gen-body", "--kind", "lune", "--dim", "3"], 0),
+    (["gen-body", "--kind", "random", "--dim", "3"], 1),
+], ids=["inradius", "circumradius", "polar", "verify-thm2-random",
+        "verify-thm2-lune", "gen-cap", "gen-octant", "gen-lune",
+        "gen-random"])
+def test_each_min_norm_problem_is_solved_once(argv, solves, tmp_path,
+                                              monkeypatch):
+    """A body poses two min-norm problems, each solved at most once:
+    building a body and taking its polar solve nothing, and a verb reuses
+    the solve that decided ``is_body``.  Only a random body asks whether
+    it has interior while it is made."""
+    paths = {}
+    for kind in ("random", "lune"):
+        paths[kind] = str(tmp_path / f"{kind}.json")
+        assert main(["gen-body", "--kind", kind, "--dim", "3", "--seed", "9",
+                     "--out", paths[kind]]) == 0
+    argv = [a.format(body=paths["random"], lune=paths["lune"]) for a in argv]
+    assert _wolfe_calls(argv, monkeypatch) == solves

@@ -10,7 +10,7 @@ import pytest
 from sphereplanks import (cap_area, check_identity_2_1, make_body,
                           make_stream, mean_width_mc, octant_body, polar,
                           random_body, random_lune, verify_thm2, volume_mc)
-from sphereplanks import measure
+from sphereplanks import cones, measure
 from sphereplanks.cli import main
 from sphereplanks.covering import (CoveringInstance, check_covering,
                                    make_lune_fan)
@@ -69,6 +69,21 @@ def test_lune_mean_width_is_2pi():
     est = mean_width_mc(lune, samples=N, seed=9)
     assert est.value == pytest.approx(2.0 * math.pi, abs=1e-9)
     assert est.stderr == 0.0
+
+
+def test_mean_width_solves_for_interior_on_the_calling_thread(monkeypatch):
+    """hyperplane_meets reads is_body in every worker; the one solve behind
+    it runs before any worker starts."""
+    lune = random_lune(3, make_stream(14), angle=1.0)
+    solve, callers = cones.min_norm_point, []
+
+    def traced(*args, **kwargs):
+        callers.append(threading.current_thread())
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cones, "min_norm_point", traced)
+    mean_width_mc(lune, samples=100_000, seed=3, threads=2)
+    assert callers == [threading.current_thread()]
 
 
 def test_cap_mean_width():
