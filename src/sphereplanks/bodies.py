@@ -47,7 +47,7 @@ class Lune:
         return self.angle / 2.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConvexBody:
     """Both representations of one body.  Its two min-norm problems are
     each solved once, on first use, and kept: ``interior`` decides
@@ -74,7 +74,7 @@ class ConvexBody:
         return self.interior[1] is not None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BodyMetrics:
     """Solver output; only the fields the producing operation fills are set."""
 

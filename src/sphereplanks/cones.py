@@ -31,7 +31,9 @@ def min_norm_point(points, tol=1e-12, max_iter=1000):
     points : (m, d) array
     tol : float
         Termination tolerance on the Wolfe criterion
-        min_j <x, p_j> >= |x|^2 - tol.
+        min_j <x, p_j> >= |x|^2 - tol max_j |p_j|^2, relative to the
+        points' scale, so min_norm_point(s P) = s min_norm_point(P) to
+        rounding for any s > 0.
 
     Returns
     -------
@@ -47,7 +49,7 @@ def min_norm_point(points, tol=1e-12, max_iter=1000):
     if m == 0:
         raise ValueError("empty point set")
     sq = np.sum(P * P, axis=1)
-    scale = max(1.0, float(sq.max()))
+    scale = float(sq.max())
 
     idx = [int(sq.argmin())]
     lam = np.array([1.0])

@@ -27,7 +27,7 @@ class CoveringError(ValueError):
     """The covering hypothesis failed; the bound is not claimed."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoveringInstance:
     """Bodies meant to cover the ball ``B``.  A fan's ``metadata`` holds
     its ``construction`` (the fan file's kind), its ``boundary_angles``

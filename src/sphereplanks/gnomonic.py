@@ -28,7 +28,7 @@ EQUATOR_TOL = 1e-9
 QUAD_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProjectionFrame:
     """Tangency point ``e`` plus an orthonormal basis of e-perp giving
     coordinates for the Euclidean target space."""
@@ -80,7 +80,7 @@ def circumcenter_frame(body):
     return frame_at(met.circumcenter)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EuclideanPolytope:
     n: int
     vertices: np.ndarray  # (m, n)

@@ -14,13 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cones import min_norm_point
 from .gnomonic import QUAD_TOL, EuclideanPolytope, WeightFunction, uf
 from .measure import VerificationReport, mc_map, three_sigma
 from .sphere import (graded, integrate, make_stream, row_blocks,
                      sample_sphere_batches, sample_uniform_sphere,
                      sphere_area)
 
-SEB_TOL = 1e-10
 #: Tolerance, relative to R, of the checks that a simplex lies in B.
 BALL_TOL = 1e-9
 #: Largest R: (2R)^2 and sums of squares of 1e6 R-sized values are finite.
@@ -28,60 +28,36 @@ MAX_RADIUS = 1e150
 
 
 # ---------------------------------------------------------------------------
-# Smallest enclosing ball (Welzl)
+# Smallest enclosing ball (Wolfe)
 # ---------------------------------------------------------------------------
 
 def smallest_enclosing_ball(points):
-    """Exact smallest enclosing ball by Welzl's recursive method.
+    """Smallest enclosing ball of points on one sphere about the origin.
 
-    Returns ``(center, radius)``.
+    Returns ``(center, radius)``.  For |p_i| = rho the ball problem's dual,
+    max sum l_i |p_i|^2 - |sum l_i p_i|^2 over convex weights l, is rho^2
+    minus the squared norm of a point of conv(points), so the centre is
+    that hull's min-norm point and the radius is sqrt(rho^2 - |center|^2).
+    The points are scaled to unit norm for Wolfe's solve.  Raises
+    ``ValueError`` for an empty list, or unless every norm lies within
+    BALL_TOL of the largest, rho, relative, and rho > 0.
     """
     P = np.atleast_2d(np.asarray(points, dtype=float))
-    if P.shape[0] == 0:
+    if P.size == 0:
         raise ValueError("empty point list")
-    d = P.shape[1]
-    order = np.arange(P.shape[0])
-    np.random.default_rng(1234).shuffle(order)  # deterministic shuffle
-    scale = float(np.max(np.abs(P))) ** 2
-    c, r2 = _welzl([P[i] for i in order], [], d, SEB_TOL * scale)
-    return c, math.sqrt(max(0.0, r2))
-
-
-def _welzl(P, R, d, tol):
-    if not P or len(R) == d + 1:
-        return _ball_from(R, d)
-    p = P[0]
-    ball = _welzl(P[1:], R, d, tol)
-    c, r2 = ball
-    if c is not None and np.sum((p - c) ** 2) <= r2 + tol:
-        return ball
-    return _welzl(P[1:], R + [p], d, tol)
-
-
-def _ball_from(R, d):
-    if not R:
-        return None, -1.0
-    S = np.array(R)
-    p0 = S[0]
-    if S.shape[0] == 1:
-        return p0, 0.0
-    A = S[1:] - p0
-    b = 0.5 * np.sum(A * A, axis=1)
-    # Circumcenter within the affine hull: c = p0 + A^T y.
-    M = A @ A.T
-    try:
-        y = np.linalg.solve(M, b)
-    except np.linalg.LinAlgError:
-        y, *_ = np.linalg.lstsq(M, b, rcond=None)
-    c = p0 + A.T @ y
-    return c, float(np.sum((p0 - c) ** 2))
+    norms = np.linalg.norm(P, axis=1)
+    rho = float(norms.max())
+    if not (0.0 < rho < math.inf and norms.min() >= rho * (1.0 - BALL_TOL)):
+        raise ValueError("points must lie on one sphere about the origin")
+    x = min_norm_point(P / rho)
+    return rho * x, rho * math.sqrt(max(0.0, 1.0 - float(x @ x)))
 
 
 # ---------------------------------------------------------------------------
 # Inscribed simplices and spherical images
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimplexInBall:
     """k-simplex with vertices on the boundary sphere of the centered ball
     of radius R, whose smallest enclosing ball is that ball."""
@@ -112,9 +88,17 @@ def make_simplex(R, vertices):
 
 
 def _check_enclosing_ball(V, R):
-    """Refuse points whose smallest enclosing ball is not B, to BALL_TOL R."""
-    c, r = smallest_enclosing_ball(V)
-    if np.linalg.norm(c) > BALL_TOL * R or abs(r - R) > BALL_TOL * R:
+    """Refuse points whose smallest enclosing ball is not B, to BALL_TOL R.
+
+    For V in B, B is the smallest enclosing ball of V exactly when 0 lies
+    in the hull of the points of V on the boundary sphere: if 0 = sum l_i
+    v_i over them, then sum l_i |v_i - c|^2 = R^2 + |c|^2 for every centre
+    c.  The points are scaled by 1/R for Wolfe's solve.
+    """
+    norms = np.linalg.norm(V, axis=1)
+    edge = norms >= R * (1.0 - BALL_TOL)
+    if not (np.all(norms <= R * (1.0 + BALL_TOL)) and np.any(edge)
+            and np.linalg.norm(min_norm_point(V[edge] / R)) <= BALL_TOL):
         raise ValueError("smallest enclosing ball of the vertices is not B")
 
 

@@ -111,7 +111,7 @@ def geodesic_distance(x, y):
     return np.arccos(dot)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SphericalCap:
     """Closed spherical cap: all points within ``radius`` of ``center``."""
 

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sphereplanks import (BodyError, circumradius, contains, geodesic_distance,
+from sphereplanks import (BodyError, EuclideanPolytope, circumradius,
+                          contains, frame_at, geodesic_distance,
                           hyperplane_meets, inradius,
                           intersect_with_hemisphere, make_body, make_lune,
-                          make_lune_from_angle, make_stream, octant_body,
-                          polar, random_body, random_lune, sample_uniform_cap,
-                          sample_uniform_sphere)
+                          make_lune_fan, make_lune_from_angle, make_stream,
+                          octant_body, polar, random_body, random_lune,
+                          sample_uniform_cap, sample_uniform_sphere,
+                          segment_simplex)
 from sphereplanks.bodies import CONTAIN_TOL, ConvexBody
 from sphereplanks.randgen import cap_polytope
 from sphereplanks.sphere import BLOCK_ENTRIES, SphericalCap
@@ -436,3 +438,20 @@ def test_intersect_with_hemisphere_rejects_other_caps():
     cap = SphericalCap(center=np.array([0.0, 0.0, 1.0]), radius=1.0)
     with pytest.raises(BodyError):
         intersect_with_hemisphere(body, cap)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: octant_body(2),
+    lambda: inradius(octant_body(2)),
+    lambda: segment_simplex(1.0, 2),
+    lambda: EuclideanPolytope(n=2, vertices=np.eye(2)),
+    lambda: frame_at(np.array([0.0, 0.0, 1.0])),
+    lambda: SphericalCap(center=np.array([0.0, 0.0, 1.0]), radius=1.0),
+    lambda: make_lune_fan(2, [0.0, math.pi / 2.0, math.pi, 2.0 * math.pi]),
+], ids=["ConvexBody", "BodyMetrics", "SimplexInBall", "EuclideanPolytope",
+        "ProjectionFrame", "SphericalCap", "CoveringInstance"])
+def test_records_with_arrays_compare_by_identity_and_hash(make):
+    # A field-wise == would take the truth value of an ndarray and raise.
+    a, b = make(), make()
+    assert a == a and a != b and not a == b
+    assert len({a, b, a}) == 2

@@ -74,6 +74,20 @@ def test_min_norm_wolfe_certificate():
         assert np.min(P @ x) >= x @ x - 1e-9
 
 
+@pytest.mark.parametrize("P", [
+    [[1.0, 0.0], [-1.0, 0.0]], [[1.0, 0.0], [-0.5, 0.8], [-0.5, -0.9]],
+    [[2.0, 0.0], [0.0, 2.0]], [[2.0, 1.0], [1.0, 3.0], [3.0, 2.5]],
+    [[1.0, 0.2, 0.1], [0.3, 1.0, -0.2], [0.1, -0.3, 1.0]]],
+    ids=["segment-about-0", "triangle-about-0", "foot", "vertex", "face"])
+@pytest.mark.parametrize("s", [1e-7, 1e-3, 1.0, 1e3, 1e100])
+def test_min_norm_point_scales_with_its_input(P, s):
+    # The stopping rule is relative to max |p|^2: an absolute one stops at
+    # the first vertex of a segment scaled to 1e-7 about the origin.
+    P = np.asarray(P)
+    x = min_norm_point(P)
+    assert np.linalg.norm(min_norm_point(s * P) - s * x) <= 1e-14 * s
+
+
 def test_min_norm_raises_when_the_major_cycles_run_out():
     # From (1, 0) one major cycle adds (0, 1); only a second one can
     # confirm the foot (1/2, 1/2).

@@ -1,6 +1,7 @@
 """Enclosing balls, spherical images, the hemisphere average C(R, f), and
 the vertex-average inequality."""
 
+import itertools
 import math
 
 import numpy as np
@@ -28,6 +29,30 @@ from sphereplanks.sphere import sample_sphere_batches
 # Smallest enclosing ball
 # ---------------------------------------------------------------------------
 
+def _brute_force_ball(P):
+    """Independent oracle: of the circumballs of every subset of at most
+    d + 1 points, each centred within the subset's affine hull, the
+    smallest that holds every point.  Returns ``(center, radius)``."""
+    P = np.asarray(P, dtype=float)
+    m, d = P.shape
+    scale = np.max(np.linalg.norm(P, axis=1))
+    best = (None, math.inf)
+    for k in range(1, min(m, d + 1) + 1):
+        for subset in itertools.combinations(range(m), k):
+            S = P[list(subset)]
+            A = S[1:] - S[0]
+            if np.linalg.matrix_rank(A, tol=1e-9 * scale) < k - 1:
+                continue
+            y = np.linalg.solve(A @ A.T, 0.5 * np.sum(A * A, axis=1)) \
+                if k > 1 else np.zeros(0)
+            c = S[0] + A.T @ y
+            r = float(np.linalg.norm(S[0] - c))
+            if r < best[1] and \
+                    np.max(np.linalg.norm(P - c, axis=1)) <= r + 1e-9 * scale:
+                best = (c, r)
+    return best
+
+
 def test_seb_single_point():
     c, r = smallest_enclosing_ball(np.array([[2.0, 3.0]]))
     assert np.allclose(c, [2.0, 3.0]) and r == 0.0
@@ -40,33 +65,59 @@ def test_seb_antipodal_pair():
 
 
 def test_seb_equilateral_triangle():
-    # Side s: circumradius s / sqrt(3).
+    # Side s: circumradius s / sqrt(3), about the centre of the circle.
     s = 2.0
-    pts = np.array([[0.0, 0.0], [s, 0.0], [s / 2.0, s * math.sqrt(3) / 2.0]])
+    ang = 0.3 + np.array([0.0, 2.0, 4.0]) * math.pi / 3.0
+    pts = s / math.sqrt(3.0) * np.column_stack([np.cos(ang), np.sin(ang)])
     c, r = smallest_enclosing_ball(pts)
     assert r == pytest.approx(s / math.sqrt(3.0), abs=1e-10)
-    assert np.allclose(c, pts.mean(axis=0), atol=1e-10)
+    assert np.allclose(c, 0.0, atol=1e-10)
 
 
 def test_seb_obtuse_triangle_uses_diameter():
-    pts = np.array([[0.0, 0.0], [4.0, 0.0], [2.0, 0.1]])
+    # All three points on an arc shorter than pi: the longest side is a
+    # diameter of the smallest enclosing ball.
+    ang = np.array([0.1, 1.0, 2.5])
+    pts = 2.0 * np.column_stack([np.cos(ang), np.sin(ang)])
     c, r = smallest_enclosing_ball(pts)
-    assert r == pytest.approx(2.0, abs=1e-10)
-    assert np.allclose(c, [2.0, 0.0], atol=1e-10)
+    assert r == pytest.approx(0.5 * np.linalg.norm(pts[2] - pts[0]),
+                              abs=1e-10)
+    assert np.allclose(c, 0.5 * (pts[0] + pts[2]), atol=1e-10)
 
 
 @pytest.mark.parametrize("m,d,seed", [(10, 2, 0), (20, 3, 1), (15, 4, 2),
-                                      (30, 2, 3)])
+                                      (30, 2, 3), (6, 2, 4), (8, 5, 5),
+                                      (7, 5, 6), (9, 3, 8)])
 def test_seb_random_against_brute_force(m, d, seed):
+    # Points on a sphere about the origin.  For seed % 3 > 0 they gather
+    # toward e_1, so their ball is smaller than the sphere's and centred
+    # off the origin.
+    shift = 0.75 * (seed % 3)
     rng = np.random.default_rng(seed)
-    pts = rng.normal(size=(m, d))
+    g = rng.normal(size=(m, d))
+    g[:, 0] += shift
+    R = float(rng.uniform(0.5, 3.0))
+    pts = R * g / np.linalg.norm(g, axis=1, keepdims=True)
     c, r = smallest_enclosing_ball(pts)
+    c_ref, r_ref = _brute_force_ball(pts)
+    assert r == pytest.approx(r_ref, abs=1e-9 * R)
+    assert np.linalg.norm(c - c_ref) <= 1e-7 * R
     # Feasibility.
     assert np.max(np.linalg.norm(pts - c, axis=1)) <= r + 1e-8
     # No random candidate center does better.
     for _ in range(200):
         cand = c + rng.normal(scale=0.3, size=d)
         assert np.max(np.linalg.norm(pts - cand, axis=1)) >= r - 1e-8
+
+
+@pytest.mark.parametrize("points", [
+    [[1.0, 0.0], [0.5, 0.0]], [[1.0, 0.0], [0.0, 1.0], [0.1, 0.1]],
+    [[0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]], [], np.zeros((0, 3))],
+    ids=["inner-point", "off-sphere", "origin", "origins", "empty",
+         "empty-rows"])
+def test_seb_refuses_points_off_one_sphere_about_the_origin(points):
+    with pytest.raises(ValueError):
+        smallest_enclosing_ball(points)
 
 
 # ---------------------------------------------------------------------------
@@ -370,16 +421,16 @@ def test_vertex_averages_sum_to_uf(kind):
 
 
 def test_random_kb_instances_are_valid():
-    # Welzl's ball is B, and so is what a second algorithm sees: every
-    # point lies in B, and Wolfe's min-norm point puts the origin in the
-    # hull of the points on the boundary sphere.
+    # The brute-force ball is B, and so is what Wolfe sees: every point
+    # lies in B, and Wolfe's min-norm point puts the origin in the hull of
+    # the points on the boundary sphere.
     for n in (2, 3, 4, 5):
         for seed in (16, 17, 18):
             rng = make_stream(seed)
             for _ in range(20):
                 R = float(rng.uniform(0.5, 3.0))
                 P = random_kb_instance(R, n, rng).vertices
-                c, r = smallest_enclosing_ball(P)
+                c, r = _brute_force_ball(P)
                 assert np.linalg.norm(c) < 1e-7 * R and abs(r - R) < 1e-7 * R
                 norms = np.linalg.norm(P, axis=1)
                 assert np.all(norms <= R * (1.0 + 1e-9))
@@ -396,6 +447,20 @@ def test_make_kb_instance_checks_the_enclosing_ball():
     for bad in (pts + 0.1, 0.9 * pts):
         with pytest.raises(ValueError, match="enclosing ball"):
             make_kb_instance(2.0, bad)
+
+
+@pytest.mark.parametrize("R", [2e-154, 1e150])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_members_of_K_B_at_the_extreme_radii(R, n):
+    # The smallest R whose square is a normal float, and the largest R.
+    assert segment_simplex(R, n).R == R
+    rng = make_stream(19)
+    for _ in range(10):
+        s = random_simplex(R, n, rng)
+        assert np.allclose(np.linalg.norm(s.vertices, axis=1) / R, 1.0,
+                           rtol=0.0, atol=1e-9)
+        P = random_kb_instance(R, n, rng).vertices
+        assert np.array_equal(make_kb_instance(R, P).vertices, P)
 
 
 def test_min_uf_search_passes():

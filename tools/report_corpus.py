@@ -41,8 +41,8 @@ FANS = {"lune": ["--gaps", "pi/2,pi/2,pi"],
         "hemisphere": ["--gaps", "pi/3,pi/3,pi/3", "--hemisphere"],
         "widened-hemisphere": ["--gaps", "pi/2,pi/2", "--hemisphere",
                                "--widen", "0.05"]}
-RADII = ("inf", "1e308", "1e-320", "1e-12", "1e-8", "1e-6", "1e-3", "1",
-         "1e9")
+RADII = ("inf", "1e308", "1e-320", "2e-154", "1e-12", "1e-8", "1e-6", "1e-3",
+         "1", "1e9")
 HUGE_RADII = ("1e120", "1e150", "6e153", "7e153", "1.3e154")
 CAP_RADII = ("0", "-1", "2", "pi/2", "inf", "nan")
 MALFORMED_FILES = {
