@@ -18,8 +18,8 @@ def main():
     body = random_body(2, rng)
 
     print("=== radius duality: r(K*) = pi/2 - R(K) ===")
-    R = circumradius(body).circumradius
-    r_star = inradius(polar(body)).inradius
+    R = circumradius(body)[0]
+    r_star = inradius(polar(body))[0]
     print(f"  R(K)            = {R:.12f}")
     print(f"  pi/2 - R(K)     = {math.pi / 2 - R:.12f}")
     print(f"  r(K*)           = {r_star:.12f}")

@@ -5,10 +5,9 @@ polar duality, gnomonic projection, and weighted hyperplane measures, all
 with seeded Monte Carlo verification.
 """
 
-from .bodies import (BodyError, BodyMetrics, ConvexBody, Lune, circumradius,
-                     contains, hyperplane_meets, inradius,
-                     intersect_with_hemisphere, make_body, make_lune,
-                     make_lune_from_angle, polar)
+from .bodies import (BodyError, ConvexBody, circumradius, contains,
+                     hyperplane_meets, inradius, intersect_with_hemisphere,
+                     make_body, make_lune, make_lune_from_angle, polar)
 from .covering import (CoveringError, CoveringInstance, check_covering,
                        make_hemisphere_fan, make_lune_fan,
                        verify_antipodal_argument, verify_thm1)

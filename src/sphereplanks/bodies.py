@@ -11,6 +11,9 @@ without interior points (e.g. polars of full-dimensional bodies) are
 representable; their ``is_body`` is False, derived from the interior
 solve, which runs once, on first use.  Volume is an exact 0 for them, and
 inradius and mean width refuse them.
+
+``ConvexBody`` is the one body record.  ``inradius`` and ``circumradius``
+return (radius, centre) pairs read off its two cached solves.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import FEAS_TOL, cone_generators, dedup_rows, max_min_inner
+from .cones import cone_generators, dedup_rows, max_min_inner
 from .sphere import SphericalCap, geodesic_distance, row_blocks, unit_vector
 
 CONTAIN_TOL = 1e-12
@@ -32,31 +35,19 @@ class BodyError(ValueError):
     """Invalid or degenerate spherical body for the requested operation."""
 
 
-@dataclass(frozen=True)
-class Lune:
-    """Two-halfspace body; the equality case of both main theorems.
-
-    ``angle`` is the interior dihedral angle in (0, pi]; the inradius of a
-    lune is exactly ``angle / 2``.  The poles live in the body's H-rep.
-    """
-
-    angle: float
-
-    @property
-    def inradius(self):
-        return self.angle / 2.0
-
-
 @dataclass(frozen=True, eq=False)
 class ConvexBody:
     """Both representations of one body.  Its two min-norm problems are
     each solved once, on first use, and kept: ``interior`` decides
-    ``is_body`` and gives the inradius, ``support`` the circumradius."""
+    ``is_body`` and gives the inradius, ``support`` the circumradius.
+
+    ``lune_angle`` is a lune's exact interior angle in (0, pi], twice its
+    inradius, and None for other bodies; the poles live in the H-rep."""
 
     n: int
     h_normals: np.ndarray
     v_generators: np.ndarray
-    lune: Lune | None = None
+    lune_angle: float | None = None
     tag: str = ""
 
     @functools.cached_property
@@ -74,18 +65,6 @@ class ConvexBody:
         return self.interior[1] is not None
 
 
-@dataclass(frozen=True, eq=False)
-class BodyMetrics:
-    """Solver output; only the fields the producing operation fills are set."""
-
-    inradius: float | None = None
-    incenter: np.ndarray | None = None
-    circumradius: float | None = None
-    circumcenter: np.ndarray | None = None
-    hemisphere_flagged: bool = False
-    solver_tolerance: float = FEAS_TOL
-
-
 def _as_unit_rows(vectors, d):
     V = np.atleast_2d(np.asarray(vectors, dtype=float))
     if V.shape[1] != d:
@@ -96,7 +75,7 @@ def _as_unit_rows(vectors, d):
     return dedup_rows(V / norms[:, None])
 
 
-def make_body(n, h_normals=None, v_generators=None, lune=None, tag=""):
+def make_body(n, h_normals=None, v_generators=None, lune_angle=None, tag=""):
     """Build a validated body from one or both representations.
 
     Missing representations are computed by cone conversion (ambient
@@ -125,7 +104,8 @@ def make_body(n, h_normals=None, v_generators=None, lune=None, tag=""):
         raise BodyError(
             f"inconsistent dual representations: max <u_i, v_j> = {np.max(cross):.3e}"
         )
-    return ConvexBody(n=n, h_normals=H, v_generators=V, lune=lune, tag=tag)
+    return ConvexBody(n=n, h_normals=H, v_generators=V, lune_angle=lune_angle,
+                      tag=tag)
 
 
 def contains(body, x, tol=CONTAIN_TOL):
@@ -167,35 +147,36 @@ def polar(body):
 
 
 def inradius(body):
-    """Largest cap inside the body: r = arcsin of the max-min slack.
+    """Largest cap inside the body, as (r, incenter).
 
-    Solves max s s.t. <u_i, x> <= -s, |x| <= 1, which is the min-norm-point
-    problem for conv{-u_i}; the optimizer has |x| = 1.
+    r is the arcsine of the max-min slack: max s s.t. <u_i, x> <= -s,
+    |x| <= 1, which is the min-norm-point problem for conv{-u_i}; the
+    optimizer has |x| = 1.
     """
     if not body.is_body:
         raise BodyError("inradius is undefined for a set without interior")
     s, x = body.interior
-    return BodyMetrics(inradius=math.asin(min(1.0, s)), incenter=x)
+    return math.asin(min(1.0, s)), x
 
 
 def inradius_value(body):
     """The inradius: exact angle arithmetic for a lune, else the solver."""
-    return inradius(body).inradius if body.lune is None else body.lune.inradius
+    angle = body.lune_angle
+    return inradius(body)[0] if angle is None else angle / 2.0
 
 
 def circumradius(body):
-    """Smallest cap containing the body: R = arccos of the max-min support.
+    """Smallest cap containing the body, as (R, circumcenter).
 
-    Valid because caps of radius <= pi/2 are spherically convex, so the
-    smallest cap containing the generators contains the body.  Bodies not
-    contained in an open hemisphere get R = pi/2 with a flag.
+    R is the arccosine of the max-min support.  Valid because caps of
+    radius <= pi/2 are spherically convex, so the smallest cap containing
+    the generators contains the body.  A body in no open hemisphere gets
+    (pi/2, None).
     """
     c, e = body.support
     if e is None:
-        return BodyMetrics(circumradius=math.pi / 2.0, circumcenter=None,
-                           hemisphere_flagged=True)
-    return BodyMetrics(circumradius=math.acos(max(-1.0, min(1.0, c))),
-                       circumcenter=e)
+        return math.pi / 2.0, None
+    return math.acos(max(-1.0, min(1.0, c))), e
 
 
 def make_lune(n, u1, u2=None, tag="lune", angle=None):
@@ -215,7 +196,7 @@ def make_lune(n, u1, u2=None, tag="lune", angle=None):
         angle = math.pi - dist
     elif not abs(angle - (math.pi - dist)) <= 1e-7:  # also rejects NaN
         raise BodyError("stated lune angle disagrees with the poles")
-    return make_body(n, h_normals=np.vstack([u1, u2]), lune=Lune(angle=angle),
+    return make_body(n, h_normals=np.vstack([u1, u2]), lune_angle=angle,
                      tag=tag)
 
 

@@ -25,7 +25,7 @@ from . import files
 from . import gnomonic as gn
 from . import linhart as lh
 from . import measure as ms
-from .cones import MAX_AMBIENT_DIM
+from .cones import FEAS_TOL, MAX_AMBIENT_DIM
 from .randgen import cap_polytope, octant_body, random_body, random_lune
 from .sphere import make_stream
 
@@ -139,19 +139,17 @@ def cmd_gen_fan(args):
 
 def cmd_inradius(args):
     body = files.load_body(args.body)
-    met = bd.inradius(body)
-    return 0, {"inradius": met.inradius,
-               "incenter": met.incenter.tolist(),
-               "solver_tolerance": met.solver_tolerance}
+    r, x = bd.inradius(body)
+    return 0, {"inradius": r, "incenter": x.tolist(),
+               "solver_tolerance": FEAS_TOL}
 
 
 def cmd_circumradius(args):
     body = files.load_body(args.body)
-    met = bd.circumradius(body)
-    return 0, {"circumradius": met.circumradius,
-               "circumcenter": None if met.circumcenter is None
-               else met.circumcenter.tolist(),
-               "hemisphere_flagged": met.hemisphere_flagged}
+    R, c = bd.circumradius(body)
+    return 0, {"circumradius": R,
+               "circumcenter": None if c is None else c.tolist(),
+               "hemisphere_flagged": c is None}
 
 
 def cmd_polar(args):

@@ -53,8 +53,8 @@ def body_to_dict(body):
     tags = {}
     if body.tag:
         tags["tag"] = body.tag
-    if body.lune is not None:
-        tags["lune_angle"] = body.lune.angle
+    if body.lune_angle is not None:
+        tags["lune_angle"] = body.lune_angle
     if tags:
         out["tags"] = tags
     return out
@@ -88,6 +88,8 @@ def body_from_dict(data):
         raise FileFormatError(f"bad tags field {tags!r}: expected an object")
     angle = tags.get("lune_angle")
     angle = None if angle is None else parse_angle(angle)
+    # A lune file is built twice: once to check its generators against its
+    # normals, then from its two poles, which re-derives the generators.
     try:
         body = bd.make_body(n, h_normals=H, v_generators=V,
                             tag=tags.get("tag", ""))
@@ -127,7 +129,7 @@ def fan_to_dict(inst):
         "boundary_angles": fan["boundary_angles"].tolist(),
         "ball": {"center": inst.B.center.tolist(),
                  "radius": inst.B.radius},
-        "sum_inradii": math.fsum(b.lune.angle for b in inst.bodies) / 2.0,
+        "sum_inradii": math.fsum(b.lune_angle for b in inst.bodies) / 2.0,
     }
     if fan["widen"] is not None:
         out["widen"] = fan["widen"].tolist()

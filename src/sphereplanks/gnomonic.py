@@ -74,10 +74,10 @@ def frame_at(e):
 
 def circumcenter_frame(body):
     """Frame at the circumcenter of the body (the canonical choice)."""
-    met = bd.circumradius(body)
-    if met.hemisphere_flagged:
+    c = bd.circumradius(body)[1]
+    if c is None:
         raise bd.BodyError("body is not contained in an open hemisphere")
-    return frame_at(met.circumcenter)
+    return frame_at(c)
 
 
 @dataclass(frozen=True, eq=False)

@@ -103,10 +103,13 @@ def _check_enclosing_ball(V, R):
 
 
 def _check_ball(R, n):
-    """Refuse n < 1, R <= 0, R > MAX_RADIUS, or R^2 not a normal float."""
+    """Refuse n < 2, R <= 0, R > MAX_RADIUS, or R^2 not a normal float.
+
+    Every route samples S^(n-1) or takes its area, so n = 1 has no sphere.
+    """
     if not (np.finfo(float).tiny <= float(R) * float(R) < math.inf
-            and R > 0.0 and n >= 1):
-        raise ValueError(f"need radius R > 0 and dimension n >= 1, with R^2 "
+            and R > 0.0 and n >= 2):
+        raise ValueError(f"need radius R > 0 and dimension n >= 2, with R^2 "
                          f"a normal float, got R = {R}, n = {n}")
     if R > MAX_RADIUS:
         raise ValueError(f"need R <= {MAX_RADIUS:g}, got R = {R}, n = {n}")

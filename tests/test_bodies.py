@@ -15,7 +15,7 @@ from sphereplanks import (BodyError, EuclideanPolytope, circumradius,
                           octant_body, polar, random_body, random_lune,
                           sample_uniform_cap, sample_uniform_sphere,
                           segment_simplex)
-from sphereplanks.bodies import CONTAIN_TOL, ConvexBody
+from sphereplanks.bodies import CONTAIN_TOL, ConvexBody, inradius_value
 from sphereplanks.randgen import cap_polytope
 from sphereplanks.sphere import BLOCK_ENTRIES, SphericalCap
 
@@ -227,9 +227,9 @@ def test_blocked_cone_tests_with_one_point_per_block(n):
 # ---------------------------------------------------------------------------
 
 def test_octant_inradius_closed_form():
-    met = inradius(octant_body(2))
-    assert met.inradius == pytest.approx(OCTANT_INRADIUS, abs=1e-12)
-    assert np.allclose(met.incenter, np.ones(3) / math.sqrt(3.0), atol=1e-9)
+    r, x = inradius(octant_body(2))
+    assert r == pytest.approx(OCTANT_INRADIUS, abs=1e-12)
+    assert np.allclose(x, np.ones(3) / math.sqrt(3.0), atol=1e-9)
 
 
 def test_octant_inradius_brute_force_grid():
@@ -249,21 +249,20 @@ def test_octant_inradius_brute_force_grid():
     # The grid value can only undershoot, by at most the grid spacing.
     assert best <= OCTANT_INRADIUS + 1e-12
     assert best >= OCTANT_INRADIUS - 0.02
-    assert inradius(body).inradius == pytest.approx(OCTANT_INRADIUS,
-                                                    abs=1e-10)
+    assert inradius(body)[0] == pytest.approx(OCTANT_INRADIUS, abs=1e-10)
 
 
 def test_octant_circumradius_closed_form():
-    met = circumradius(octant_body(2))
-    assert met.circumradius == pytest.approx(OCTANT_CIRCUMRADIUS, abs=1e-12)
-    assert not met.hemisphere_flagged
+    R, c = circumradius(octant_body(2))
+    assert R == pytest.approx(OCTANT_CIRCUMRADIUS, abs=1e-12)
+    assert c is not None
 
 
 def test_incenter_cap_is_inside():
     rng = make_stream(11)
     body = random_body(2, rng)
-    met = inradius(body)
-    cap = SphericalCap(center=met.incenter, radius=met.inradius - 1e-7)
+    r, x = inradius(body)
+    cap = SphericalCap(center=x, radius=r - 1e-7)
     pts = sample_uniform_cap(cap, rng, size=50_000)
     assert np.all(contains(body, pts, tol=1e-9))
 
@@ -272,32 +271,32 @@ def test_circumball_contains_generators():
     rng = make_stream(12)
     for n in (2, 3):
         body = random_body(n, rng)
-        met = circumradius(body)
-        dists = geodesic_distance(body.v_generators, met.circumcenter)
-        assert np.max(dists) <= met.circumradius + 1e-9
-        assert met.circumradius < math.pi / 2
+        R, c = circumradius(body)
+        dists = geodesic_distance(body.v_generators, c)
+        assert np.max(dists) <= R + 1e-9
+        assert R < math.pi / 2
 
 
 def test_circumradius_hemisphere_flag():
     # A closed hemisphere is not inside any open hemisphere.
     hemi = make_lune(2, np.array([0.0, 0.0, 1.0]))
-    met = circumradius(hemi)
-    assert met.hemisphere_flagged
-    assert met.circumradius == pytest.approx(math.pi / 2)
+    R, c = circumradius(hemi)
+    assert c is None
+    assert R == pytest.approx(math.pi / 2)
 
 
 def test_inradius_monotone_under_shrinking():
     rng = make_stream(13)
     for _ in range(10):
         body = random_body(2, rng)
-        met = inradius(body)
+        r, x = inradius(body)
         # Add a constraint through a point at distance < r from the
         # incenter: the inradius must strictly drop.
-        u = -np.asarray(met.incenter)
+        u = -np.asarray(x)
         cut = make_body(2, h_normals=np.vstack([body.h_normals, u]))
         if not cut.is_body:
             continue
-        assert inradius(cut).inradius <= met.inradius + 1e-12
+        assert inradius(cut)[0] <= r + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +318,7 @@ def test_octant_polar_is_negative_octant():
     assert contains(pol, -center)
     assert not contains(pol, center)
     # Reflection through the origin: K* = -K for the octant.
-    assert inradius(pol).inradius == pytest.approx(OCTANT_INRADIUS,
-                                                   abs=1e-12)
+    assert inradius(pol)[0] == pytest.approx(OCTANT_INRADIUS, abs=1e-12)
 
 
 def test_bipolar_is_identity():
@@ -354,8 +352,8 @@ def test_radius_duality_on_random_bodies():
                                 n_vertices=n + 9, rng=rng)
                    for radius in (0.2, 0.7, 1.3)]
         for body in bodies:
-            r_polar = inradius(polar(body)).inradius
-            R = circumradius(body).circumradius
+            r_polar = inradius(polar(body))[0]
+            R = circumradius(body)[0]
             assert abs(r_polar - (math.pi / 2.0 - R)) <= \
                 4 * math.ulp(math.pi / 2.0)
 
@@ -369,17 +367,17 @@ def test_radius_duality_on_random_bodies():
 @settings(max_examples=30, deadline=None)
 def test_lune_angle_is_exact(angle, seed):
     lune = random_lune(2, make_stream(seed), angle=angle)
-    assert lune.lune.angle == angle
-    assert lune.lune.inradius == angle / 2.0
+    assert lune.lune_angle == angle
+    assert inradius_value(lune) == angle / 2.0
     # Solver agrees with the exact value.
-    assert inradius(lune).inradius == pytest.approx(angle / 2.0, abs=1e-9)
+    assert inradius(lune)[0] == pytest.approx(angle / 2.0, abs=1e-9)
 
 
 def test_hemisphere_lune():
     q = np.array([0.0, 0.0, 1.0])
     hemi = make_lune(2, q)
-    assert hemi.lune.angle == math.pi
-    assert hemi.lune.inradius == math.pi / 2.0
+    assert hemi.lune_angle == math.pi
+    assert inradius_value(hemi) == math.pi / 2.0
     assert contains(hemi, np.array([1.0, 0.0, 0.0]))
 
 
@@ -430,7 +428,20 @@ def test_intersect_with_hemisphere_cuts():
     cut = intersect_with_hemisphere(lune, cap)
     assert cut.is_body
     # Quarter-sphere: inradius is that of a right-angle lune.
-    assert inradius(cut).inradius == pytest.approx(math.pi / 4.0, abs=1e-9)
+    assert inradius(cut)[0] == pytest.approx(math.pi / 4.0, abs=1e-9)
+
+
+def test_only_lunes_carry_a_lune_angle():
+    # The polar and a reconverted cut are not lunes, even though the
+    # quarter-sphere cut has a lune's shape; a hemisphere lies in no open
+    # hemisphere, so it has no circumcenter.
+    hemi = make_lune(2, np.array([0.0, 0.0, 1.0]))
+    cap = SphericalCap(center=np.array([1.0, 0.0, 0.0]), radius=math.pi / 2.0)
+    cut = intersect_with_hemisphere(hemi, cap)
+    assert cut is not hemi
+    assert polar(hemi).lune_angle is None
+    assert cut.lune_angle is None
+    assert circumradius(hemi) == (math.pi / 2.0, None)
 
 
 def test_intersect_with_hemisphere_rejects_other_caps():
@@ -442,13 +453,12 @@ def test_intersect_with_hemisphere_rejects_other_caps():
 
 @pytest.mark.parametrize("make", [
     lambda: octant_body(2),
-    lambda: inradius(octant_body(2)),
     lambda: segment_simplex(1.0, 2),
     lambda: EuclideanPolytope(n=2, vertices=np.eye(2)),
     lambda: frame_at(np.array([0.0, 0.0, 1.0])),
     lambda: SphericalCap(center=np.array([0.0, 0.0, 1.0]), radius=1.0),
     lambda: make_lune_fan(2, [0.0, math.pi / 2.0, math.pi, 2.0 * math.pi]),
-], ids=["ConvexBody", "BodyMetrics", "SimplexInBall", "EuclideanPolytope",
+], ids=["ConvexBody", "SimplexInBall", "EuclideanPolytope",
         "ProjectionFrame", "SphericalCap", "CoveringInstance"])
 def test_records_with_arrays_compare_by_identity_and_hash(make):
     # A field-wise == would take the truth value of an ndarray and raise.

@@ -273,11 +273,34 @@ def test_malformed_file_exits_2(tmp_path):
     {"dim": 2, "rep": "H", "normals": [[0, 0, -1], [0, 1]]},
     {"dim": 2, "rep": "H", "normals": [[0, 0, -1], [0, 1, 0]],
      "tags": {"lune_angle": "nan"}},
+    # A lune file's generators are checked before the lune is rebuilt
+    # from its poles.
+    {"dim": 2, "rep": "both", "normals": [[0, 0, 1]],
+     "generators": [[1, 0, 0], [0, 0, 1]], "tags": {"lune_angle": "pi"}},
 ])
 def test_malformed_body_fields_exit_2(tmp_path, payload):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(payload))
     assert main(["inradius", str(bad)]) == 2
+
+
+def test_lune_file_generators_are_rederived_from_its_poles(tmp_path):
+    # A lune file is built twice: once to check its generators against its
+    # normals, then from its poles.  Kept as stated, the generator subset
+    # [[1, 0, 0]] of this hemisphere would read as a point.
+    stated = tmp_path / "stated.json"
+    stated.write_text(json.dumps({
+        "dim": 2, "rep": "both", "normals": [[0, 0, 1]],
+        "generators": [[1, 0, 0]], "tags": {"lune_angle": "pi"}}))
+    generated = tmp_path / "generated.json"
+    assert main(["gen-body", "--kind", "lune", "--angle", "pi", "--dim", "2",
+                 "--seed", "5", "--out", str(generated)]) == 0
+    for verb in (["circumradius"], ["meanwidth", "--seed", "3",
+                                    "--samples", "20000"]):
+        outs = [json.loads(run_cli([verb[0], str(path), *verb[1:]])[1])
+                for path in (stated, generated)]
+        assert outs[0] == outs[1]
+    assert outs[0]["value"] == pytest.approx(2.0 * math.pi)
 
 
 def test_missing_file_exits_2(tmp_path):
@@ -324,14 +347,20 @@ def test_large_cap_polytope_and_polar_radius_duality(tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ["verify-prop", "--dim", "0"],
+    ["verify-prop", "--dim", "1"],
     ["verify-linhart", "--dim", "0", "--simplex", "segment"],
+    ["verify-linhart", "--dim", "1", "--simplex", "segment"],
+    ["verify-linhart", "--dim", "1", "--simplex", "random"],
     ["verify-linhart", "--radius", "0"],
     ["verify-linhart", "--radius", "-1"],
-], ids=["prop-dim-0", "linhart-segment-dim-0", "linhart-radius-0",
+], ids=["prop-dim-0", "prop-dim-1", "linhart-segment-dim-0",
+        "linhart-segment-dim-1", "linhart-random-dim-1", "linhart-radius-0",
         "linhart-radius-negative"])
 def test_bad_linhart_ball_exits_2(argv, capsys):
     assert main([*argv, "--samples", "1000"]) == 2
-    assert "need radius R > 0 and dimension n >= 1" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "need radius R > 0 and dimension n >= 2" in err
+    assert "got 0" not in err
 
 
 def test_verify_prop_in_dimension_5_uses_the_spherical_weight():

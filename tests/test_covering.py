@@ -23,7 +23,7 @@ def test_fan_inradius_sum_is_exact():
                  [math.pi / 2] * 4,
                  [0.1, 0.2, 3.0, 2 * math.pi - 3.3]):
         inst = make_lune_fan(2, _angles(*gaps))
-        total = math.fsum(b.lune.inradius for b in inst.bodies)
+        total = math.fsum(b.lune_angle / 2.0 for b in inst.bodies)
         assert abs(total - math.pi) < 1e-12
 
 
@@ -54,7 +54,7 @@ def test_widen_validation():
 def test_widened_fan_slack_is_exact():
     widen = 0.02
     inst = make_lune_fan(2, _angles(*[math.pi / 2] * 4), widen=widen)
-    total = math.fsum(b.lune.inradius for b in inst.bodies)
+    total = math.fsum(b.lune_angle / 2.0 for b in inst.bodies)
     assert total - math.pi == pytest.approx(4 * widen / 2.0, abs=1e-12)
 
 

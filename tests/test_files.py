@@ -63,9 +63,7 @@ def test_body_file_roundtrip(tmp_path):
         assert back.n == body.n
         assert np.allclose(np.sort(back.v_generators, axis=0),
                            np.sort(body.v_generators, axis=0), atol=1e-12)
-        if body.lune is not None:
-            assert back.lune is not None
-            assert back.lune.angle == body.lune.angle  # exact through JSON
+        assert back.lune_angle == body.lune_angle  # exact through JSON
 
 
 def test_body_file_is_deterministic(tmp_path):
