@@ -22,7 +22,7 @@ def main():
 
     print("=== the segment attains the closed-form bound ===")
     seg = segment_simplex(R, 2)
-    poly = EuclideanPolytope(n=2, vertices=seg.vertices)
+    poly = EuclideanPolytope(vertices=seg.vertices)
     val = uf(poly, w).value
     bound = uf_lower_bound(R, w, 2)
     print(f"  U_f(segment) = {val:.12f}")

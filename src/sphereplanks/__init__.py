@@ -14,8 +14,7 @@ from .covering import (CoveringError, CoveringInstance, check_covering,
 from .gnomonic import (EuclideanPolytope, ProjectionFrame, WeightFunction,
                        check_projection_consistency, circumcenter_frame,
                        constant_weight, frame_at, hyperplane_param,
-                       project_body, project_point, spherical_weight,
-                       support_function, uf)
+                       project_body, project_point, spherical_weight, uf)
 from .linhart import (SimplexInBall, check_7_1, constant_C, make_simplex,
                       min_uf_search, normal_cone_membership, random_simplex,
                       regular_triangle, segment_simplex,

@@ -44,11 +44,14 @@ class ConvexBody:
     ``lune_angle`` is a lune's exact interior angle in (0, pi], twice its
     inradius, and None for other bodies; the poles live in the H-rep."""
 
-    n: int
     h_normals: np.ndarray
     v_generators: np.ndarray
     lune_angle: float | None = None
     tag: str = ""
+
+    @property
+    def n(self):
+        return self.h_normals.shape[1] - 1
 
     @functools.cached_property
     def interior(self):
@@ -104,12 +107,12 @@ def make_body(n, h_normals=None, v_generators=None, lune_angle=None, tag=""):
         raise BodyError(
             f"inconsistent dual representations: max <u_i, v_j> = {np.max(cross):.3e}"
         )
-    return ConvexBody(n=n, h_normals=H, v_generators=V, lune_angle=lune_angle,
+    return ConvexBody(h_normals=H, v_generators=V, lune_angle=lune_angle,
                       tag=tag)
 
 
-def contains(body, x, tol=CONTAIN_TOL):
-    """Membership test <u_i, x> <= tol for all facet poles.
+def contains(body, x):
+    """Membership test <u_i, x> <= CONTAIN_TOL for all facet poles.
 
     ``x`` may be a single vector or an (m, n+1) batch.  The products are
     taken facet-major in row blocks, shape (k, rows), so the test reduces
@@ -118,7 +121,7 @@ def contains(body, x, tol=CONTAIN_TOL):
     x = np.asarray(x, dtype=float)
     out = np.empty(x.shape[:-1], dtype=bool)
     for rows, vals in row_blocks(body.h_normals, x):
-        out[rows] = np.max(vals, axis=0) <= tol
+        out[rows] = np.max(vals, axis=0) <= CONTAIN_TOL
     return out[()]
 
 
@@ -142,7 +145,7 @@ def polar(body):
 
     Pure representation swap; the result may have no interior.
     """
-    return ConvexBody(n=body.n, h_normals=body.v_generators,
+    return ConvexBody(h_normals=body.v_generators,
                       v_generators=body.h_normals, tag=f"polar({body.tag})")
 
 

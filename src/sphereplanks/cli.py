@@ -316,13 +316,13 @@ def main(argv=None):
         if args.seed is None:
             args.seed = _default_seed()
         code, payload = args.func(args)
+        _emit(payload, args)
     except cov.CoveringError as exc:
         print(f"verification refused: {exc}", file=sys.stderr)
         return 1
     except (files.FileFormatError, bd.BodyError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(payload, args)
     print(f"wall_clock_s={time.perf_counter() - t0:.3f}", file=sys.stderr)
     return code
 

@@ -21,28 +21,32 @@ DEDUP_TOL = 1e-9
 #: Largest ambient dimension d = n + 1 that cone conversion supports.
 MAX_AMBIENT_DIM = 5
 FEAS_TOL = 1e-9
+#: Termination tolerance of Wolfe's criterion, relative to the points' scale.
+WOLFE_TOL = 1e-12
+#: Most major cycles, and most minor cycles within each, of Wolfe's method.
+WOLFE_MAX_ITER = 1000
 
 
-def min_norm_point(points, tol=1e-12, max_iter=1000):
+def min_norm_point(points):
     """Minimum-norm point of conv(points), by Wolfe's algorithm.
 
     Parameters
     ----------
     points : (m, d) array
-    tol : float
-        Termination tolerance on the Wolfe criterion
-        min_j <x, p_j> >= |x|^2 - tol max_j |p_j|^2, relative to the
-        points' scale, so min_norm_point(s P) = s min_norm_point(P) to
-        rounding for any s > 0.
 
     Returns
     -------
     x : (d,) array
-        The minimum-norm point.
+        The minimum-norm point: the first iterate that meets Wolfe's
+        criterion min_j <x, p_j> >= |x|^2 - WOLFE_TOL max_j |p_j|^2.  The
+        tolerance is relative to the points' scale, so
+        min_norm_point(s P) = s min_norm_point(P) to rounding for any
+        s > 0.
 
-    Raises ``ValueError``, naming the cause, when ``max_iter`` major cycles
-    end without meeting the criterion, when the most violating point is
-    already in the corral, or when the corral's affine hull is singular.
+    Raises ``ValueError``, naming the cause, when ``WOLFE_MAX_ITER`` major
+    cycles end without meeting the criterion, when the most violating
+    point is already in the corral, or when the corral's affine hull is
+    singular.
     """
     P = np.atleast_2d(np.asarray(points, dtype=float))
     m, d = P.shape
@@ -54,11 +58,11 @@ def min_norm_point(points, tol=1e-12, max_iter=1000):
     idx = [int(sq.argmin())]
     lam = np.array([1.0])
 
-    for _ in range(max_iter):
+    for _ in range(WOLFE_MAX_ITER):
         x = lam @ P[idx]
         dots = P @ x
         j = int(dots.argmin())
-        if dots[j] >= x @ x - tol * scale:
+        if dots[j] >= x @ x - WOLFE_TOL * scale:
             return x
         if j in idx:
             raise ValueError(f"Wolfe's min-norm point stalled: the most "
@@ -68,7 +72,7 @@ def min_norm_point(points, tol=1e-12, max_iter=1000):
         # Minor cycle: pull lam toward the affine minimizer until it is a
         # proper convex combination.  lam stays convex, so some weight
         # survives the cut below.
-        for _ in range(max_iter):
+        for _ in range(WOLFE_MAX_ITER):
             alpha = _affine_min_weights(P[idx])
             if alpha.min() > 1e-14:
                 lam = alpha
@@ -84,7 +88,7 @@ def min_norm_point(points, tol=1e-12, max_iter=1000):
             lam = lam[keep]
             lam = lam / lam.sum()
     raise ValueError(f"Wolfe's min-norm point did not converge in "
-                     f"{max_iter} iterations")
+                     f"{WOLFE_MAX_ITER} iterations")
 
 
 def _affine_min_weights(S):

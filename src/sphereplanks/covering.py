@@ -109,6 +109,10 @@ def _angles(boundary_angles):
     angles = np.asarray(boundary_angles, dtype=float)
     if angles.size < 2:
         raise ValueError("a fan needs at least two boundary angles")
+    # A comparison with NaN is False, so no later check would refuse it.
+    if not np.all(np.isfinite(angles)):
+        raise ValueError(f"boundary angles must be finite, got "
+                         f"{angles.tolist()}")
     return angles, np.diff(angles)
 
 

@@ -82,12 +82,15 @@ def circumcenter_frame(body):
 
 @dataclass(frozen=True, eq=False)
 class EuclideanPolytope:
-    n: int
     vertices: np.ndarray  # (m, n)
 
     def __post_init__(self):
         if self.vertices.ndim != 2 or self.vertices.shape[0] == 0:
             raise ValueError("need at least one vertex")
+
+    @property
+    def n(self):
+        return self.vertices.shape[1]
 
 
 def project_point(frame, x):
@@ -105,7 +108,7 @@ def project_body(frame, body):
     if np.any(body.v_generators @ frame.e <= EQUATOR_TOL):
         raise bd.BodyError("body is not strictly inside the frame hemisphere")
     verts = project_point(frame, body.v_generators)
-    return EuclideanPolytope(n=frame.n, vertices=verts)
+    return EuclideanPolytope(vertices=verts)
 
 
 def hyperplane_param(frame, u):
@@ -130,14 +133,12 @@ def hyperplane_param(frame, u):
 
 @dataclass(frozen=True)
 class WeightFunction:
-    """Positive weight f on [0, inf) with cumulative F(s) = int_0^s f.
-
-    ``f`` and ``F`` are vectorized callables.  ``kind`` is a label such as
-    "spherical(2)" or "constant".
+    """A positive weight f on [0, inf), carried by its cumulative
+    F(s) = int_0^s f, a vectorized callable: U_f and C(R, f) read f only
+    through F.  ``kind`` is a label such as "spherical(2)" or "constant".
     """
 
     kind: str
-    f: callable
     F: callable
 
 
@@ -145,12 +146,6 @@ def spherical_weight(n):
     """The weight (1+t^2)^(-(n+1)/2) matching spherical mean width in E^n.
     F(s) = int_0^(atan s) cos^(n-1) by I_k = (s q^(-k/2) + (k-1) I_(k-2)) / k,
     q = 1 + s^2, from I_0 = atan s or I_1 = s / sqrt(q): no term overflows."""
-    p = (n + 1) / 2.0
-
-    def f(t):
-        t = np.asarray(t, dtype=float)
-        return (1.0 + t * t) ** (-p)
-
     def F(s):
         if n < 1:
             raise ValueError(f"need a dimension n >= 1, got {n}")
@@ -163,31 +158,18 @@ def spherical_weight(n):
             out = (term + (k - 1) * out) / k
         return out
 
-    return WeightFunction(kind=f"spherical({n})", f=f, F=F)
+    return WeightFunction(kind=f"spherical({n})", F=F)
 
 
-def constant_weight(c=1.0):
-    if c <= 0.0:
-        raise ValueError("weight must be positive")
-
-    def f(t):
-        return np.full_like(np.asarray(t, dtype=float), c)
-
-    def F(s):
-        return c * np.asarray(s, dtype=float)
-
-    return WeightFunction(kind="constant", f=f, F=F)
+def constant_weight():
+    """The weight f = 1, with F(s) = s."""
+    return WeightFunction(kind="constant",
+                          F=lambda s: np.asarray(s, dtype=float))
 
 
 # ---------------------------------------------------------------------------
 # The hyperplane-measure functional U_f
 # ---------------------------------------------------------------------------
-
-def support_function(poly, u0):
-    """h(K, u0) = max over vertices of <vertex, u0> (u0 may be a batch)."""
-    u0 = np.asarray(u0, dtype=float)
-    return np.max(u0 @ poly.vertices.T, axis=-1)
-
 
 def _uf_integrand(poly, w, dirs):
     hi, lo = np.empty(dirs.shape[:-1]), np.empty(dirs.shape[:-1])

@@ -293,7 +293,7 @@ def make_kb_instance(R, vertices):
     enclosing ball must be the centered ball of radius R."""
     V = np.atleast_2d(np.asarray(vertices, dtype=float))
     _check_enclosing_ball(V, R)
-    return EuclideanPolytope(n=V.shape[1], vertices=V)
+    return EuclideanPolytope(vertices=V)
 
 
 def random_kb_instance(R, n, rng):
@@ -310,7 +310,7 @@ def random_kb_instance(R, n, rng):
         pts = R * sample_uniform_sphere(n - 1, rng, size=m)
         c, r = smallest_enclosing_ball(pts)
         pts = (pts - c) * (R / r)
-    return EuclideanPolytope(n=n, vertices=pts)
+    return EuclideanPolytope(vertices=pts)
 
 
 def min_uf_search(R, w, n=2, trials=50, samples=None, seed=0, threads=1):
@@ -319,7 +319,7 @@ def min_uf_search(R, w, n=2, trials=50, samples=None, seed=0, threads=1):
     if trials < 1:
         raise ValueError("trials must be >= 1")
     seg = segment_simplex(R, n)
-    seg_poly = EuclideanPolytope(n=n, vertices=seg.vertices)
+    seg_poly = EuclideanPolytope(vertices=seg.vertices)
     seg_est = uf(seg_poly, w, samples=samples, seed=seed, threads=threads)
     bound = uf_lower_bound(R, w, n)
 
@@ -337,7 +337,7 @@ def min_uf_search(R, w, n=2, trials=50, samples=None, seed=0, threads=1):
 
     sigma = seg_est.stderr
     if n > 2:  # exact: a sample can miss the 1/R-wide layer of F(R |u_1|)
-        sq = WeightFunction("square", f=None, F=lambda s: w.F(s) ** 2)
+        sq = WeightFunction("square", F=lambda s: w.F(s) ** 2)
         var = max(0.0, constant_C(R, sq, n) - constant_C(R, w, n) ** 2)
         sigma = sphere_area(n - 1) * math.sqrt(var / seg_est.samples)
     # The bound is a quadrature, exact to QUAD_TOL relative.

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 UNIT_TOL = 1e-12
-#: Most sphere draws one rejection round of ``sample_uniform_cap`` makes.
+#: Most sphere draws one rejection round of ``sample_cap_batches`` makes.
 CAP_ROUND_DRAWS = 1 << 20
 #: Most multiply entries (k * d * rows) a ``row_blocks`` product takes:
 #: OpenBLAS runs products this small on the calling thread.
@@ -180,9 +180,11 @@ def sample_sphere_batches(n, rngs, sizes):
 
 
 def sample_cap_batches(cap, rngs, sizes):
-    """The points ``sample_uniform_cap(cap, rngs[i], sizes[i])`` gives,
-    stacked in order; a full-sphere or hemisphere cap is normalised in one
-    pass."""
+    """Uniform points on a cap, batch ``i`` drawn from ``rngs[i]`` with
+    ``sizes[i]`` rows, stacked in order.  The full sphere takes one draw
+    per point and a hemisphere (radius exactly pi/2) one draw per point
+    reflected into it, each normalised in one pass; other radii are drawn
+    batch by batch by rejection."""
     if cap.radius >= math.pi:
         return sample_sphere_batches(cap.n, rngs, sizes)
     if cap.radius == math.pi / 2.0:
@@ -192,26 +194,26 @@ def sample_cap_batches(cap, rngs, sizes):
         x = sample_sphere_batches(cap.n, rngs, sizes)
         np.negative(x, out=x, where=(x @ cap.center < 0.0)[:, None])
         return x
-    return np.concatenate([sample_uniform_cap(cap, rng, size)
+    return np.concatenate([_reject_into_cap(cap, rng, int(size))
                            for rng, size in zip(rngs, sizes)])
 
 
 def sample_uniform_cap(cap, rng, size=None):
-    """Uniform points on a cap: one draw per point on S^n for the full
-    sphere, and for a hemisphere (radius exactly pi/2) one draw per point
-    reflected into it; other radii by rejection from S^n, in rounds sized
-    from the cap's area.  A zero-radius cap returns the center
-    deterministically.
-    """
-    if cap.radius >= math.pi:
-        return sample_uniform_sphere(cap.n, rng, size)
+    """Uniform points on a cap, the one-batch case of
+    ``sample_cap_batches``: a single vector for ``size=None``, else an
+    array of shape (size, n+1)."""
     m = 1 if size is None else int(size)
-    if cap.radius == math.pi / 2.0:
-        pts = sample_cap_batches(cap, [rng], [m])
-        return pts[0] if size is None else pts
+    pts = sample_cap_batches(cap, [rng], [m])
+    return pts[0] if size is None else pts
+
+
+def _reject_into_cap(cap, rng, m):
+    """``m`` uniform points on a cap of radius below pi: the first ``m``
+    in-cap draws of ``sample_uniform_sphere``, in rounds sized from the
+    cap's area.  A zero-radius cap gives its center ``m`` times, drawing
+    nothing."""
     if cap.radius == 0.0:
-        pts = np.tile(cap.center, (m, 1))
-        return pts[0] if size is None else pts
+        return np.tile(cap.center, (m, 1))
     n = cap.n
     cos_r = math.cos(cap.radius)
     frac = cap_area(n, cap.radius) / sphere_area(n)
@@ -231,4 +233,4 @@ def sample_uniform_cap(cap, rng, size=None):
         take = min(m - have, kept.shape[0])
         out[have:have + take] = kept[:take]
         have += take
-    return out[0] if size is None else out
+    return out

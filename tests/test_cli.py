@@ -659,6 +659,36 @@ def test_non_finite_widen_exits_2(fan, widen, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen-fan", "--gaps", "nan,pi"],
+    ["gen-fan", "--gaps", "nan,pi", "--hemisphere"],
+    ["verify-thm1", "FAN"],
+], ids=["lune-fan", "hemisphere-fan", "hemisphere-fan-file"])
+def test_non_finite_boundary_angles_exit_2(argv, tmp_path, capsys):
+    fan = tmp_path / "nan-angle.json"
+    fan.write_text('{"dim": 2, "kind": "hemisphere-fan", '
+                   '"boundary_angles": [0, NaN, 3.141592653589793]}')
+    assert main([str(fan) if a == "FAN" else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert "boundary angles must be finite" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+@pytest.mark.parametrize("argv", [["gen-body"],
+                                  ["verify-thm2", "BODY", "--samples", "1000"]],
+                         ids=["gen-body", "verify-thm2"])
+def test_unwritable_out_exits_2(argv, target, lune_file, tmp_path):
+    out = tmp_path / "missing-dir" / "x.json" if target == "missing-dir" \
+        else tmp_path
+    argv = [lune_file if a == "BODY" else a for a in argv]
+    run = subprocess.run([sys.executable, "-m", "sphereplanks", *argv,
+                          "--out", str(out)], capture_output=True, text=True)
+    assert run.returncode == 2
+    assert run.stderr.startswith("error: ")
+    assert "Traceback" not in run.stderr
+
+
 def _csv(argv):
     code, out = run_cli([*argv, "--format", "csv"])
     header, row = out.strip().split("\n")

@@ -88,13 +88,15 @@ def test_min_norm_point_scales_with_its_input(P, s):
     assert np.linalg.norm(min_norm_point(s * P) - s * x) <= 1e-14 * s
 
 
-def test_min_norm_raises_when_the_major_cycles_run_out():
+def test_min_norm_raises_when_the_major_cycles_run_out(monkeypatch):
     # From (1, 0) one major cycle adds (0, 1); only a second one can
     # confirm the foot (1/2, 1/2).
     P = np.eye(2)
-    assert np.allclose(min_norm_point(P, max_iter=2), [0.5, 0.5])
+    monkeypatch.setattr(cones, "WOLFE_MAX_ITER", 2)
+    assert np.allclose(min_norm_point(P), [0.5, 0.5])
+    monkeypatch.setattr(cones, "WOLFE_MAX_ITER", 1)
     with pytest.raises(ValueError, match="1 iterations"):
-        min_norm_point(P, max_iter=1)
+        min_norm_point(P)
 
 
 def test_min_norm_raises_when_the_best_point_is_already_in_the_corral(

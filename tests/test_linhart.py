@@ -360,7 +360,7 @@ def test_segment_attains_the_bound():
     for R in (0.5, 1.0, 3.0):
         for w in (constant_weight(), spherical_weight(2)):
             seg = segment_simplex(R, 2)
-            poly = EuclideanPolytope(n=2, vertices=seg.vertices)
+            poly = EuclideanPolytope(vertices=seg.vertices)
             est = uf(poly, w)
             assert est.value == pytest.approx(uf_lower_bound(R, w, 2),
                                               abs=1e-8)
@@ -410,7 +410,7 @@ def test_vertex_averages_sum_to_uf(kind):
     for n, k in ((2, 2), (3, 3), (3, 1)):
         s = random_simplex(1.0, n, rng, k=k)
         w = constant_weight() if kind == "constant" else spherical_weight(n)
-        poly = EuclideanPolytope(n=n, vertices=s.vertices)
+        poly = EuclideanPolytope(vertices=s.vertices)
         direct = uf(poly, w, samples=300_000, seed=14)
         reports = check_vertex_averages(s, w, samples=300_000, seed=15)
         via = math.fsum(r.details["mu_Sj"] * r.lhs for r in reports)
@@ -479,9 +479,9 @@ def test_perturbed_segment_increases_uf():
     """Thickening the segment into a thin lens strictly increases U_f."""
     w = spherical_weight(2)
     seg = segment_simplex(1.0, 2)
-    seg_val = uf(EuclideanPolytope(n=2, vertices=seg.vertices), w).value
+    seg_val = uf(EuclideanPolytope(vertices=seg.vertices), w).value
     lens = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 0.4], [0.0, -0.4]])
-    lens_val = uf(EuclideanPolytope(n=2, vertices=lens), w).value
+    lens_val = uf(EuclideanPolytope(vertices=lens), w).value
     assert lens_val > seg_val + 1e-3
 
 

@@ -63,6 +63,8 @@ MALFORMED_FILES = {
     "fan-narrowed.json": '{"dim": 2, "kind": "hemisphere-fan", '
                          '"boundary_angles": [0.0, 1.5707963267948966, '
                          '3.141592653589793], "widen": [-0.2, -0.2]}',
+    "fan-nan-angle.json": '{"dim": 2, "kind": "hemisphere-fan", '
+                          '"boundary_angles": [0, NaN, 3.141592653589793]}',
 }
 
 
@@ -172,10 +174,14 @@ def _malformed_argvs():
         ["gen-fan", "--gaps", "pi/2,pi/2"],
         ["gen-fan", "--gaps", "pi/0,pi"],
         ["gen-fan", "--dim", "9", "--gaps", "pi,pi"],
+        ["gen-fan", "--gaps", "nan,pi"],
+        ["gen-fan", "--gaps", "nan,pi", "--hemisphere"],
         ["verify-linhart", "--simplex", "regular-triangle", "--dim", "3"],
         ["verify-linhart", "--radius", "-1"],
         ["verify-prop", "--dim", "0"], ["verify-prop", "--trials", "0"],
         ["uf", "octant-2-3.json", "--weight", "cubic"],
+        # Relative: every run shares the one scratch directory.
+        ["gen-body", "--out", "missing-dir/x.json"],
     ]
 
 
