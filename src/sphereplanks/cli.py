@@ -13,7 +13,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import os
 import sys
 import time
 
@@ -28,17 +27,6 @@ from . import measure as ms
 from .cones import FEAS_TOL, MAX_AMBIENT_DIM
 from .randgen import cap_polytope, octant_body, random_body, random_lune
 from .sphere import make_stream
-
-SEED_ENV = "SPHERE_PLANKS_SEED"
-
-
-def _default_seed():
-    raw = os.environ.get(SEED_ENV, "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{SEED_ENV}={raw!r} is not an integer") from None
-
 
 def _weight(name, n):
     """The weight a ``--weight`` choice names; argparse refuses others."""
@@ -79,13 +67,10 @@ def _emit(payload, args):
 
 def _mc(args):
     """The Monte Carlo options every sampling verb passes through; a set
-    sample count and the thread count must be positive even where the
-    verb ends up exact.  An unset sample count is left out, so the
-    library's default applies."""
+    sample count must be positive even where the verb ends up exact.  An
+    unset sample count is left out, so the library's default applies."""
     if args.samples is not None and args.samples < 1:
         raise ValueError(f"samples must be >= 1, got {args.samples}")
-    if args.threads < 1:
-        raise ValueError(f"threads must be >= 1, got {args.threads}")
     mc = {"seed": args.seed, "threads": args.threads}
     if args.samples is not None:
         mc["samples"] = args.samples
@@ -223,9 +208,14 @@ def cmd_verify_linhart(args):
 
 # ---------------------------------------------------------------------------
 
-def _add_common(p):
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--samples", type=int, default=None)
+def _add_common(p, seed=False, samples=False):
+    """The shared options a verb reads: every verb writes a report, the
+    generators and the sampling verbs draw from a seed, and only the
+    sampling verbs take a sample count."""
+    if seed:
+        p.add_argument("--seed", type=int, default=0)
+    if samples:
+        p.add_argument("--samples", type=int, default=None)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None)
@@ -247,7 +237,7 @@ def build_parser():
     p.add_argument("--angle", default=None, help="lune angle, e.g. pi/3")
     p.add_argument("--cap-radius", default="0.7")
     p.add_argument("--vertices", type=int, default=None)
-    _add_common(p)
+    _add_common(p, seed=True)
     p.set_defaults(func=cmd_gen_body)
 
     p = sub.add_parser("gen-fan", help="generate a lune-fan instance file")
@@ -257,13 +247,18 @@ def build_parser():
     p.add_argument("--widen", default=None)
     p.add_argument("--hemisphere", action="store_true",
                    help="fan over a hemisphere (gaps must sum to pi)")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.set_defaults(func=cmd_gen_fan)
 
     for verb, func in (("inradius", cmd_inradius),
                        ("circumradius", cmd_circumradius),
-                       ("polar", cmd_polar),
-                       ("volume", _body_estimate(ms, "volume_mc")),
+                       ("polar", cmd_polar)):
+        p = sub.add_parser(verb)
+        p.add_argument("body")
+        _add_common(p)
+        p.set_defaults(func=func)
+
+    for verb, func in (("volume", _body_estimate(ms, "volume_mc")),
                        ("meanwidth", _body_estimate(ms, "mean_width_mc")),
                        ("verify-thm2", _body_verdict(ms, "verify_thm2")),
                        ("verify-2-1", _body_verdict(ms, "check_identity_2_1")),
@@ -271,19 +266,19 @@ def build_parser():
                         _body_verdict(gn, "check_projection_consistency"))):
         p = sub.add_parser(verb)
         p.add_argument("body")
-        _add_common(p)
+        _add_common(p, seed=True, samples=True)
         p.set_defaults(func=func)
 
     p = sub.add_parser("uf", help="U_f of the projected body")
     p.add_argument("body")
     p.add_argument("--weight", choices=("spherical", "constant"),
                    default="spherical")
-    _add_common(p)
+    _add_common(p, seed=True, samples=True)
     p.set_defaults(func=cmd_uf)
 
     p = sub.add_parser("verify-thm1")
     p.add_argument("fan")
-    _add_common(p)
+    _add_common(p, seed=True, samples=True)
     p.set_defaults(func=cmd_verify_thm1)
 
     p = sub.add_parser("verify-prop")
@@ -292,7 +287,7 @@ def build_parser():
     p.add_argument("--weight", choices=("spherical", "constant"),
                    default="spherical")
     p.add_argument("--trials", type=int, default=50)
-    _add_common(p)
+    _add_common(p, seed=True, samples=True)
     p.set_defaults(func=cmd_verify_prop)
 
     p = sub.add_parser("verify-linhart")
@@ -303,7 +298,7 @@ def build_parser():
     p.add_argument("--simplex",
                    choices=("segment", "regular-triangle", "random"),
                    default="random")
-    _add_common(p)
+    _add_common(p, seed=True, samples=True)
     p.set_defaults(func=cmd_verify_linhart)
 
     return ap
@@ -313,8 +308,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
-        if args.seed is None:
-            args.seed = _default_seed()
+        if args.threads < 1:
+            raise ValueError(f"threads must be >= 1, got {args.threads}")
         code, payload = args.func(args)
         _emit(payload, args)
     except cov.CoveringError as exc:

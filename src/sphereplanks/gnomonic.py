@@ -42,10 +42,6 @@ class ProjectionFrame:
         if np.max(np.abs(gram - np.eye(G.shape[0]))) > FRAME_TOL:
             raise ValueError("frame is not orthonormal")
 
-    @property
-    def n(self):
-        return self.basis.shape[0]
-
 
 def frame_at(e):
     """Frame at ``e`` by Gram-Schmidt over the coordinate axes in order."""

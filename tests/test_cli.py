@@ -1,5 +1,6 @@
 """End-to-end CLI checks: verbs, exit codes, deterministic reports."""
 
+import argparse
 import inspect
 import json
 import math
@@ -14,7 +15,7 @@ from sphereplanks import files
 from sphereplanks import gnomonic as gn
 from sphereplanks import linhart as lh
 from sphereplanks import measure as ms
-from sphereplanks.cli import main
+from sphereplanks.cli import build_parser, main
 from sphereplanks.files import load_body, load_fan
 from sphereplanks.measure import N_BATCHES
 from sphereplanks.sphere import BLOCK_ENTRIES
@@ -221,13 +222,14 @@ def test_zero_samples_exit_2(argv, octant_file, hemi_fan_file,
 
 
 @pytest.mark.parametrize("argv", [
-    ["gen-body", "--kind", "cap", "--dim", "3", "--vertices", "12"],
+    ["gen-body", "--kind", "cap", "--dim", "3", "--vertices", "12",
+     "--seed", "3"],
     ["gen-fan", "--dim", "2", "--gaps", "pi/2,pi/2,pi/2,pi/2",
-     "--widen", "0.1"],
+     "--widen", "0.1", "--seed", "3"],
     ["polar", "{lune}"],
 ], ids=["gen-body", "gen-fan", "polar"])
 def test_out_file_equals_stdout(argv, lune_file, tmp_path):
-    argv = [a.format(lune=lune_file) for a in argv] + ["--seed", "3"]
+    argv = [a.format(lune=lune_file) for a in argv]
     code, stdout = run_cli(argv)
     assert code == 0
     path = tmp_path / "out.json"
@@ -235,18 +237,50 @@ def test_out_file_equals_stdout(argv, lune_file, tmp_path):
     assert path.read_text() == stdout
 
 
-def test_seed_env_is_read_on_every_call(octant_file, monkeypatch):
+def test_seed_comes_only_from_the_option(octant_file, monkeypatch):
     argv = ["volume", octant_file, "--samples", "1000"]
     monkeypatch.setenv("SPHERE_PLANKS_SEED", "5")
-    _, first = run_cli(argv)
-    monkeypatch.setenv("SPHERE_PLANKS_SEED", "6")
-    _, second = run_cli(argv)
-    assert json.loads(first)["seed"] == 5
-    assert json.loads(second)["seed"] == 6
-    assert second == run_cli(argv + ["--seed", "6"])[1]
-    monkeypatch.setenv("SPHERE_PLANKS_SEED", "abc")
-    assert main(argv) == 2
-    assert run_cli(argv + ["--seed", "6"]) == (0, second)
+    _, out = run_cli(argv)
+    assert json.loads(out)["seed"] == 0
+    assert run_cli(argv + ["--seed", "0"]) == (0, out)
+
+
+# The shared options each verb takes; verb-specific ones are not listed.
+REPORT_OPTIONS = {"--threads", "--format", "--out"}
+SEEDED_OPTIONS = REPORT_OPTIONS | {"--seed"}
+SAMPLING_OPTIONS = SEEDED_OPTIONS | {"--samples"}
+OPTION_TABLE = {
+    "gen-body": SEEDED_OPTIONS, "gen-fan": SEEDED_OPTIONS,
+    "inradius": REPORT_OPTIONS, "circumradius": REPORT_OPTIONS,
+    "polar": REPORT_OPTIONS,
+    **dict.fromkeys(("volume", "meanwidth", "uf", "verify-thm2",
+                     "verify-2-1", "verify-projection", "verify-thm1",
+                     "verify-prop", "verify-linhart"), SAMPLING_OPTIONS)}
+
+
+def test_each_verb_takes_only_the_shared_options_it_reads():
+    parser = build_parser()
+    verbs = next(a for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(verbs) == set(OPTION_TABLE)
+    for verb, sub in verbs.items():
+        taken = {s for a in sub._actions for s in a.option_strings}
+        assert taken & SAMPLING_OPTIONS == OPTION_TABLE[verb], verb
+
+
+@pytest.mark.parametrize("argv", [
+    [*verb, option, "1000"]
+    for verb in (["gen-body"], ["gen-fan", "--gaps", "pi,pi"],
+                 ["inradius", "{octant}"], ["circumradius", "{octant}"],
+                 ["polar", "{octant}"])
+    for option in sorted(SAMPLING_OPTIONS - OPTION_TABLE[verb[0]])
+], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+def test_removed_options_exit_2(argv, octant_file, capsys):
+    argv = [a.format(octant=octant_file) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
 
 
 def test_csv_format(octant_file):
@@ -425,16 +459,20 @@ def test_reports_are_byte_identical_across_threads_on_many_facets(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ["volume", "{octant}"], ["verify-thm1", "{hemi_fan}"],
-    ["verify-linhart", "--simplex", "segment"],
-    ["verify-prop", "--dim", "2"],
-], ids=["volume", "verify-thm1", "verify-linhart", "verify-prop-quadrature"])
+    ["volume", "{octant}", "--samples", "1000"],
+    ["verify-thm1", "{hemi_fan}", "--samples", "1000"],
+    ["verify-linhart", "--simplex", "segment", "--samples", "1000"],
+    ["verify-prop", "--dim", "2", "--samples", "1000"],
+    ["inradius", "{octant}"], ["polar", "{octant}"],
+    ["gen-fan", "--gaps", "pi,pi"],
+], ids=["volume", "verify-thm1", "verify-linhart", "verify-prop-quadrature",
+        "inradius", "polar", "gen-fan"])
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_threads_below_one_exit_2(argv, threads, octant_file, hemi_fan_file,
                                   capsys):
     argv = [a.format(octant=octant_file, hemi_fan=hemi_fan_file)
             for a in argv]
-    assert main([*argv, "--samples", "1000", "--threads", threads]) == 2
+    assert main([*argv, "--threads", threads]) == 2
     assert f"threads must be >= 1, got {threads}" in capsys.readouterr().err
 
 

@@ -89,8 +89,9 @@ def _body_argvs():
                     runs.append([verb, body, *MC, "--seed", str(seed),
                                  "--threads", threads])
         runs.append(["uf", body, *MC, "--weight", "constant"])
+        runs += [[verb, body, "--format", "csv"] for verb in EXACT_VERBS]
         runs += [[verb, body, *MC, "--seed", "3", "--format", "csv"]
-                 for verb in EXACT_VERBS + MC_VERBS]
+                 for verb in MC_VERBS]
     return gens + runs
 
 
@@ -182,6 +183,14 @@ def _malformed_argvs():
         ["uf", "octant-2-3.json", "--weight", "cubic"],
         # Relative: every run shares the one scratch directory.
         ["gen-body", "--out", "missing-dir/x.json"],
+        # Options a verb does not take, and thread counts below 1 on verbs
+        # that do not sample.
+        ["gen-body", "--samples", "1000"],
+        ["gen-fan", "--gaps", "pi,pi", "--samples", "1000"],
+        *([verb, "octant-2-3.json", option, "1000"] for verb in EXACT_VERBS
+          for option in ("--samples", "--seed")),
+        ["inradius", "octant-2-3.json", "--threads", "0"],
+        ["gen-fan", "--gaps", "pi,pi", "--threads", "0"],
     ]
 
 
@@ -221,7 +230,6 @@ def main(src, out_path):
     from sphereplanks import cli
     if not Path(cli.__file__).resolve().is_relative_to(Path(src).resolve()):
         raise SystemExit(f"imported {cli.__file__}, not the package in {src}")
-    os.environ.pop(cli.SEED_ENV, None)
     work = Path(tempfile.gettempdir()) / "sphereplanks-report-corpus"
     shutil.rmtree(work, ignore_errors=True)
     work.mkdir()
