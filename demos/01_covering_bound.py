@@ -23,6 +23,7 @@ def main():
     print(f"  sum of inradii = {rep.lhs:.15f}")
     print(f"  r(B)           = {rep.rhs:.15f}")
     print(f"  slack          = {rep.slack:.2e}   -> {'PASS' if rep.passed else 'FAIL'}")
+    print(f"  cover decided by: {rep.details['cover_rule']}")
 
     print("\n=== widened fan: overlap adds exactly widen/2 per lune ===")
     inst = make_lune_fan(2, angles, widen=0.02)

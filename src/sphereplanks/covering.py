@@ -5,6 +5,12 @@ A lune fan slices the sphere into lunes around a common ridge; its
 inradius sum is pi in exact angle arithmetic, which is the equality case
 of the covering bound.  Perturbed (widened) fans give overlapping covers
 whose slack is exactly half the added angle.
+
+Lunes whose poles lie in the plane of the first two axes share the ridge
+orthogonal to it, and each is the set of points whose angle in that plane
+lies in a closed arc (points on the ridge lie in every lune).  Such a
+cover is decided exactly by sweeping the arcs over the angles B needs;
+other covers are checked by sampling B.
 """
 
 from __future__ import annotations
@@ -17,9 +23,16 @@ import numpy as np
 from . import bodies as bd
 from .cones import MAX_AMBIENT_DIM
 from .measure import VerificationReport, mc_map
-from .sphere import SphericalCap, sample_cap_batches
+from .sphere import UNIT_TOL, SphericalCap, sample_cap_batches
 
-ANGLE_TOL = 1e-12
+#: Rounding allowed in fan angles, and the seam tolerance of the exact
+#: cover rule: an angular gap no wider than this is closed.  2^12 ulps of
+#: 2 pi (3.6e-12), above the few ulps that summing boundary angles and
+#: reading them back from poles cost, and above 2 * bodies.CONTAIN_TOL:
+#: the midpoint of a gap g lies sin(g / 2) past the nearest lune's faces,
+#: so only a gap wider than 2 * CONTAIN_TOL has a midpoint that
+#: ``contains`` rejects.
+ANGLE_TOL = 2**12 * math.ulp(2.0 * math.pi)
 RADIUS_TOL = 1e-7
 
 
@@ -161,21 +174,124 @@ def check_covering(inst, samples=100_000, seed=0, threads=1):
     )
 
 
+def _lune_arc(body):
+    """(start, width) of the closed arc of fan-plane angles that a lune
+    covers, read off its one or two poles: the pole at angle phi keeps the
+    half circle [phi + pi/2, phi + 3 pi/2].  None unless ``body`` is a lune
+    whose poles lie in the plane of the first two axes."""
+    H = body.h_normals
+    if body.lune_angle is None or H.shape[0] > 2 or np.any(H[:, 2:] != 0.0):
+        return None
+    ends = np.arctan2(H[[0, -1], 1], H[[0, -1], 0]) + math.pi / 2.0
+    s0, s1 = ends.tolist()
+    d = (s1 - s0) % (2.0 * math.pi)
+    start, width = (s1, math.pi - d) if d <= math.pi else (s0, d - math.pi)
+    if abs(width - body.lune_angle) > ANGLE_TOL:
+        raise ValueError(f"lune {body.tag!r}: its poles span {width!r} rad "
+                         f"but its lune_angle is {float(body.lune_angle)!r}")
+    return start, width
+
+
+def _check_fan_metadata(meta, arcs):
+    """Each arc is the one its constructor meant: lune i spans
+    [theta_i - w_i / 2, theta_(i+1) + w_i / 2], clipped to [0, pi] in a
+    hemisphere fan and to a width of pi in the others.  Ends are compared
+    as points of the circle, to ANGLE_TOL."""
+    angles = meta["boundary_angles"]
+    if len(arcs) != len(angles) - 1:
+        raise ValueError(f"the fan's metadata lists {len(angles) - 1} "
+                         f"lunes, the instance has {len(arcs)} bodies")
+    half = 0.0 if meta["widen"] is None else meta["widen"] / 2.0
+    lo, hi = angles[:-1] - half, angles[1:] + half
+    if meta["construction"] == "hemisphere-fan":
+        lo, hi = np.maximum(lo, 0.0), np.minimum(hi, math.pi)
+    else:
+        hi = np.minimum(hi, lo + math.pi)
+    got = np.array([(start, start + width) for start, width in arcs])
+    want = np.column_stack([lo, hi])
+    chord = np.hypot(np.cos(got) - np.cos(want), np.sin(got) - np.sin(want))
+    bad = np.flatnonzero(np.any(chord > ANGLE_TOL, axis=1))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"lune {i} spans {got[i].tolist()} rad, its fan's "
+                         f"metadata {want[i].tolist()}")
+
+
+def _widest_gap(arcs, lo, hi):
+    """The widest open stretch (a, b) of [lo, hi] that no arc covers, the
+    arcs taken mod 2 pi; a == b when they cover it all."""
+    turn = 2.0 * math.pi
+    ends = sorted((s + k * turn, s + w + k * turn)
+                  for s, w in arcs for k in (-1, 0, 1))
+    gap, reach = (lo, lo), lo
+    for s, e in ends:
+        if min(s, hi) - reach > gap[1] - gap[0]:
+            gap = (reach, min(s, hi))
+        reach = max(reach, e)
+    return (reach, hi) if hi - reach > gap[1] - gap[0] else gap
+
+
+def _fan_cover(inst):
+    """Decide the cover exactly when every body is a lune with its poles
+    in the fan plane; return the rule that decided, or None to leave the
+    cover to sampling.
+
+    B needs the closed half circle of angles facing its centre when it is
+    a hemisphere centred in the plane, and the whole circle otherwise.  A
+    gap wider than ANGLE_TOL raises ``CoveringError`` with a witness, the
+    plane's unit vector at the gap's midpoint, once it is checked to lie in
+    B and outside every body.  A gap whose witness fails that check is left
+    to sampling: under other balls the witness may miss B.
+    """
+    arcs = [_lune_arc(body) for body in inst.bodies]
+    if None in arcs:
+        return None
+    if "boundary_angles" in inst.metadata:
+        _check_fan_metadata(inst.metadata, arcs)
+    B = inst.B
+    if B.radius == math.pi / 2.0 and np.all(B.center[2:] == 0.0):
+        facing = math.atan2(B.center[1], B.center[0])
+        lo, hi = facing - math.pi / 2.0, facing + math.pi / 2.0
+        rule = "lune angles cover the half circle facing B's centre"
+    else:
+        lo = min((start for start, _ in arcs), default=0.0)
+        hi = lo + 2.0 * math.pi
+        rule = "lune angles cover the circle"
+    a, b = _widest_gap(arcs, lo, hi)
+    if b - a <= ANGLE_TOL:
+        return rule
+    x = np.zeros(B.n + 1)
+    x[:2] = math.cos((a + b) / 2.0), math.sin((a + b) / 2.0)
+    if x @ B.center < math.cos(B.radius) - UNIT_TOL or \
+            any(bd.contains(body, x) for body in inst.bodies):
+        return None
+    raise CoveringError(
+        f"lune angles leave ({a!r}, {b!r}) uncovered, a gap of {b - a:.3e} "
+        f"rad; witness {x.tolist()} lies in B and in no body")
+
+
 def verify_thm1(inst, samples=100_000, seed=0, threads=1):
     """Covering bound: sum of inradii >= r(B).
 
     For r(B) = pi/2 the stronger sum over the intersections with B is
-    checked as well.  Refuses instances that fail the covering check.
+    checked as well.  Refuses instances that are not covers.  The cover is
+    decided from the lunes' angles where ``_fan_cover`` applies, and else
+    by ``check_covering`` with ``samples`` and ``seed``, which the report
+    carries either way; its ``cover_rule`` names the rule that decided.
     """
-    cov = check_covering(inst, samples=samples, seed=seed, threads=threads)
-    if not cov.passed:
-        raise CoveringError(
-            f"covering check failed with {-cov.slack:.0f} uncovered samples")
+    rule = _fan_cover(inst)
+    if rule is None:
+        cov = check_covering(inst, samples=samples, seed=seed,
+                             threads=threads)
+        if not cov.passed:
+            raise CoveringError(f"covering check failed with "
+                                f"{-cov.slack:.0f} uncovered samples")
+        rule = cov.tolerance_rule
     r_B = inst.B.radius
     radii = [bd.inradius_value(b) for b in inst.bodies]
     total = math.fsum(radii)
     details = {"inradii": radii, "r_B": r_B, "seed": seed,
-               "samples": samples}
+               "samples": samples, "cover_rule": rule}
 
     passed = total >= r_B - RADIUS_TOL
     if abs(r_B - math.pi / 2.0) <= ANGLE_TOL:
@@ -204,7 +320,7 @@ def verify_antipodal_argument(thm1):
     B' is the cap of radius pi - r(B) at the antipode of B's center.  Since
     S^n \\ B lies in B', B' and the bodies cover S^n once the bodies cover
     B, which ``verify_thm1`` checked: it raises CoveringError on any
-    uncovered sample, so ``uncovered`` is 0.  What is left is the
+    uncovered point it finds, so ``uncovered`` is 0.  What is left is the
     rearranged inequality pi - r(B) + sum r(K_i) >= pi.
     """
     total, r_B = thm1.lhs, thm1.rhs

@@ -202,15 +202,15 @@ def _images(s, vertices, samples, seed, threads, reduce):
     vertex.  A fold lies in S_j when a_j is the largest height (a_j >= 0)
     or the smallest (a_j < 0), to 1e-12: ``normal_cone_membership``'s
     test in units of R.  The heights are one product per row block, so
-    BLAS runs them on the calling thread.
+    BLAS runs them on the calling thread; a chunk of one block uses its
+    product as it is.
     """
     E = s.vertices / s.R
 
     def draw(rngs, sizes):
         dirs = sample_sphere_batches(s.n - 1, rngs, sizes)
-        heights = np.empty((E.shape[0], dirs.shape[0]))
-        for rows, dots in row_blocks(E, dirs):  # vertex-major
-            heights[:, rows] = dots
+        blocks = [dots for _, dots in row_blocks(E, dirs)]  # vertex-major
+        heights = blocks[0] if len(blocks) == 1 else np.hstack(blocks)
         hi = heights.max(axis=0) - 1e-12
         lo = heights.min(axis=0) + 1e-12
         out = []

@@ -1,15 +1,20 @@
 """Lune fans, covering certificates, and the sum-of-inradii bound."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from sphereplanks import (CoveringError, check_covering, covering,
-                          make_hemisphere_fan, make_lune_fan, measure, sphere,
+from sphereplanks import (CoveringError, check_covering, contains, covering,
+                          make_hemisphere_fan, make_lune, make_lune_fan,
+                          make_lune_from_angle, measure, sphere,
                           verify_antipodal_argument, verify_thm1)
 from sphereplanks.cli import main as cli_main
 from sphereplanks.covering import CoveringInstance
+from sphereplanks.randgen import octant_body
 from sphereplanks.sphere import SphericalCap
 
 
@@ -114,17 +119,45 @@ def test_verify_thm1_widened_fan():
 
 def test_verify_thm1_refuses_non_cover():
     inst = make_lune_fan(2, _angles(*[math.pi / 2] * 4))
-    broken = CoveringInstance(B=inst.B, bodies=inst.bodies[:-1],
-                              metadata=inst.metadata)
-    with pytest.raises(CoveringError):
+    broken = CoveringInstance(B=inst.B, bodies=inst.bodies[:-1])
+    with pytest.raises(CoveringError, match="uncovered, a gap of 1.571e"):
         verify_thm1(broken, samples=20_000, seed=4)
+
+
+def test_fan_metadata_must_describe_the_bodies():
+    inst = make_lune_fan(2, _angles(*[math.pi / 2] * 4))
+    fewer = CoveringInstance(B=inst.B, bodies=inst.bodies[:-1],
+                             metadata=inst.metadata)
+    with pytest.raises(ValueError, match="lists 4 lunes, the instance has 3"):
+        verify_thm1(fewer)
+    # The same lunes in another order: lune 0 is not the one its
+    # boundary angles give.
+    shuffled = CoveringInstance(B=inst.B, bodies=inst.bodies[::-1],
+                                metadata=inst.metadata)
+    with pytest.raises(ValueError, match="lune 0 spans"):
+        verify_thm1(shuffled)
+
+
+def test_lune_angle_must_match_the_poles():
+    # make_lune lets a stated angle differ from its poles' by 1e-7; the
+    # exact cover rule reads the poles, so it refuses any difference
+    # beyond rounding.
+    p, q = np.eye(3)[:2]
+    lunes = [make_lune(2, -q, -p * math.sin(0.5) - q * math.cos(0.5),
+                       angle=angle)
+             for angle in (math.pi - 0.5, math.pi - 0.5 + 1e-9)]
+    assert lunes[0].h_normals.shape == lunes[1].h_normals.shape == (2, 3)
+    B = SphericalCap(center=p, radius=math.pi)
+    with pytest.raises(ValueError, match="poles span"):
+        verify_thm1(CoveringInstance(B=B, bodies=[lunes[1]]))
+    with pytest.raises(CoveringError, match="uncovered"):
+        verify_thm1(CoveringInstance(B=B, bodies=[lunes[0]]))
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_verify_thm1_refuses_hemisphere_fan_missing_a_lune(n):
     inst = make_hemisphere_fan(n, _angles(*[math.pi / 3] * 3), widen=0.05)
-    broken = CoveringInstance(B=inst.B, bodies=inst.bodies[::2],
-                              metadata=inst.metadata)
+    broken = CoveringInstance(B=inst.B, bodies=inst.bodies[::2])
     samples, seed = 20_000, 6
     with pytest.raises(CoveringError):
         verify_thm1(broken, samples=samples, seed=seed)
@@ -253,14 +286,7 @@ def test_derived_route_draws_nothing(monkeypatch):
     assert verify_antipodal_argument(rep).passed
 
 
-@pytest.mark.parametrize("fan", [
-    ["--gaps", "pi/3,pi/3,pi/3", "--hemisphere", "--widen", "0.05"],
-    ["--gaps", "pi/2,pi/2,pi"],
-], ids=["hemisphere", "full-sphere"])
-def test_verify_thm1_makes_one_monte_carlo_pass(fan, monkeypatch, tmp_path,
-                                                capsys):
-    path = tmp_path / "fan.json"
-    assert cli_main(["gen-fan", "--dim", "3", *fan, "--out", str(path)]) == 0
+def _count_mc_map(monkeypatch):
     calls = []
     real = measure.mc_map
 
@@ -270,5 +296,142 @@ def test_verify_thm1_makes_one_monte_carlo_pass(fan, monkeypatch, tmp_path,
 
     monkeypatch.setattr(measure, "mc_map", counted)
     monkeypatch.setattr(covering, "mc_map", counted)
+    return calls
+
+
+@pytest.mark.parametrize("fan", [
+    ["--gaps", "pi/3,pi/3,pi/3", "--hemisphere", "--widen", "0.05"],
+    ["--gaps", "pi/2,pi/2,pi"],
+], ids=["hemisphere", "full-sphere"])
+def test_verify_thm1_on_fan_files_makes_no_monte_carlo_pass(
+        fan, monkeypatch, tmp_path, capsys):
+    path = tmp_path / "fan.json"
+    assert cli_main(["gen-fan", "--dim", "3", *fan, "--out", str(path)]) == 0
+    capsys.readouterr()
+    calls = _count_mc_map(monkeypatch)
     assert cli_main(["verify-thm1", str(path), "--samples", "20000"]) == 0
+    assert calls == []
+    thm1 = json.loads(capsys.readouterr().out)["thm1"]
+    # The sampled rule's parameters stay in the report.
+    assert (thm1["samples"], thm1["seed"]) == (20000, 0)
+    assert thm1["cover_rule"].startswith("lune angles cover the")
+
+
+def test_verify_thm1_falls_back_to_one_monte_carlo_pass(monkeypatch):
+    # An octant is no lune, so sampling decides the cover.
+    inst = make_lune_fan(2, _angles(*[math.pi / 2] * 4))
+    octant = octant_body(2)
+    calls = _count_mc_map(monkeypatch)
+    rep = verify_thm1(
+        CoveringInstance(B=inst.B, bodies=[*inst.bodies, octant]),
+        samples=20_000, seed=3)
     assert len(calls) == 1
+    assert rep.details["cover_rule"] == \
+        "every sampled point of B lies in some body"
+
+
+# The hemisphere-fan file on S^2 whose first lune is narrowed by 1e-7 or
+# 1e-9 leaves two strips of half that width uncovered, at 0 and at pi/2.
+# 100,000 uniform points of B miss strips that thin.
+@pytest.mark.parametrize("narrow", [1e-7, 1e-9])
+def test_narrowed_hemisphere_fan_is_refused(narrow, tmp_path, capsys):
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps({
+        "dim": 2, "kind": "hemisphere-fan",
+        "boundary_angles": [0.0, math.pi / 2, math.pi],
+        "widen": [-narrow, 0.0]}))
+    assert cli_main(["verify-thm1", str(path), "--samples", "100000",
+                     "--seed", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("verification refused: lune angles leave (")
+    assert f"uncovered, a gap of {narrow / 2:.3e} rad; witness [" in err
+
+
+def _lunes(n, arcs):
+    """Lunes over the (start, width) arcs, with no fan metadata."""
+    p, q = np.eye(n + 1)[:2]
+    return [make_lune_from_angle(n, w, (p, q), theta0=s) for s, w in arcs]
+
+
+def _full_sphere(n):
+    return SphericalCap(center=np.eye(n + 1)[0], radius=math.pi)
+
+
+def test_lunes_missing_two_pi_by_1e_9_are_refused():
+    # Four quarter lunes whose last one ends 1e-9 short of 2 pi.
+    arcs = [(k * math.pi / 2, math.pi / 2) for k in range(3)]
+    arcs.append((3 * math.pi / 2, math.pi / 2 - 1e-9))
+    inst = CoveringInstance(B=_full_sphere(2), bodies=_lunes(2, arcs))
+    with pytest.raises(CoveringError, match="uncovered, a gap of 1.000e-09"):
+        verify_thm1(inst)
+
+
+# The seam tolerance, 2^12 ulps of 2 pi, stated here rather than read from
+# the module so that a change to it is seen.
+SEAM_TOL = 2**12 * math.ulp(2 * math.pi)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_seam_tolerance(n):
+    def fan(seam):
+        return CoveringInstance(B=_full_sphere(n), bodies=_lunes(
+            n, [(0.0, 2.0), (2.0, 2.0), (4.0, 2 * math.pi - 4.0 - seam)]))
+
+    assert covering.ANGLE_TOL == SEAM_TOL
+    assert SEAM_TOL > 2 * covering.bd.CONTAIN_TOL
+    assert verify_thm1(fan(SEAM_TOL / 2)).details["cover_rule"] == \
+        "lune angles cover the circle"
+    with pytest.raises(CoveringError, match="uncovered, a gap of 3.638e-11"):
+        verify_thm1(fan(10 * SEAM_TOL))
+
+
+@st.composite
+def _random_fans(draw):
+    """Lunes over a random partition of the circle (or of [0, pi] under the
+    hemisphere), each widened or narrowed by up to 0.05."""
+    n = draw(st.integers(1, 4))
+    hemi = draw(st.booleans())
+    m = draw(st.integers(2, 5))
+    span = math.pi if hemi else 2 * math.pi
+    cuts = sorted(draw(st.lists(st.floats(0.15, span - 0.15), min_size=m - 1,
+                                max_size=m - 1)))
+    angles = np.array([0.0, *cuts, span])
+    assume(np.all(np.diff(angles) > 0.15) and np.all(np.diff(angles) < 3.0))
+    widen = np.array(draw(st.lists(st.floats(-0.05, 0.05), min_size=m,
+                                   max_size=m)))
+    lo, hi = angles[:-1] - widen / 2, angles[1:] + widen / 2
+    if hemi:
+        lo, hi = np.maximum(lo, 0.0), np.minimum(hi, math.pi)
+        B = SphericalCap(center=np.eye(n + 1)[1], radius=math.pi / 2)
+    else:
+        B = _full_sphere(n)
+    # The stretch before each lune, the seam or the ends of [0, pi]
+    # included; only neighbours can overlap.
+    if hemi:
+        gaps = np.append(lo, math.pi) - np.insert(hi, 0, 0.0)
+    else:
+        gaps = lo - np.insert(hi[:-1], 0, hi[-1] - span)
+    # Gaps near the seam tolerance are left to test_seam_tolerance.
+    assume(not np.any((gaps > SEAM_TOL / 2) & (gaps < 2 * SEAM_TOL)))
+    return CoveringInstance(B=B, bodies=_lunes(n, zip(lo, hi - lo))), gaps
+
+
+@settings(max_examples=40, deadline=None)
+@given(_random_fans())
+def test_angle_rule_agrees_with_sampling(fan):
+    inst, gaps = fan
+    open_gaps = gaps[gaps > SEAM_TOL]
+    try:
+        verify_thm1(inst)
+        refused = None
+    except CoveringError as exc:
+        refused = str(exc)
+    assert (refused is None) == (open_gaps.size == 0)
+    if refused is not None:
+        witness = np.array(json.loads(
+            refused[refused.index("witness ") + 8:refused.index(" lies")]))
+        assert witness @ inst.B.center >= math.cos(inst.B.radius)
+        assert not any(contains(body, witness) for body in inst.bodies)
+    if open_gaps.size == 0 or np.all(open_gaps > 1e-3):
+        sampled = check_covering(inst, samples=100_000, seed=1)
+        assert sampled.passed == (refused is None)

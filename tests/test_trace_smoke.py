@@ -18,7 +18,7 @@ from verifybench.layers import TARGETS, per_layer_metrics  # noqa: E402
 from verifybench.tracer import Tracer  # noqa: E402
 
 import sphereplanks.cli as cli  # noqa: E402
-from sphereplanks import linhart  # noqa: E402
+from sphereplanks import covering, files, linhart  # noqa: E402
 from sphereplanks.gnomonic import constant_weight  # noqa: E402
 
 SMALL = ["--samples", "2000", "--seed", "3"]
@@ -53,6 +53,8 @@ def test_traced_cli_calls_complete(tmp_path, capsys):
         linhart.check_7_1(s, 0, constant_weight(), 2000, 3)
         # Nor this, since K(B) members are built with B as their ball.
         linhart.make_kb_instance(1.0, s.vertices)
+        # Nor this, since a fan's cover is decided from its lunes' angles.
+        covering.check_covering(files.load_fan(fan), 2000, 3)
     finally:
         tracer.uninstall()
     capsys.readouterr()

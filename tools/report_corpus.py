@@ -63,6 +63,14 @@ MALFORMED_FILES = {
     "fan-narrowed.json": '{"dim": 2, "kind": "hemisphere-fan", '
                          '"boundary_angles": [0.0, 1.5707963267948966, '
                          '3.141592653589793], "widen": [-0.2, -0.2]}',
+    # Strips of 5e-8 and 5e-10 rad left uncovered, thinner than the
+    # sample spacing.
+    "fan-narrowed-1e-7.json": '{"dim": 2, "kind": "hemisphere-fan", '
+                              '"boundary_angles": [0.0, 1.5707963267948966, '
+                              '3.141592653589793], "widen": [-1e-7, 0.0]}',
+    "fan-narrowed-1e-9.json": '{"dim": 2, "kind": "hemisphere-fan", '
+                              '"boundary_angles": [0.0, 1.5707963267948966, '
+                              '3.141592653589793], "widen": [-1e-9, 0.0]}',
     "fan-nan-angle.json": '{"dim": 2, "kind": "hemisphere-fan", '
                           '"boundary_angles": [0, NaN, 3.141592653589793]}',
 }
