@@ -154,16 +154,18 @@ def inradius(body):
 
     r is the arcsine of the max-min slack: max s s.t. <u_i, x> <= -s,
     |x| <= 1, which is the min-norm-point problem for conv{-u_i}; the
-    optimizer has |x| = 1.
+    optimizer has |x| = 1.  A lune's r is half its exact angle; its
+    incenter is still the solver's.
     """
     if not body.is_body:
         raise BodyError("inradius is undefined for a set without interior")
     s, x = body.interior
-    return math.asin(min(1.0, s)), x
+    angle = body.lune_angle
+    return (math.asin(min(1.0, s)) if angle is None else angle / 2.0), x
 
 
 def inradius_value(body):
-    """The inradius: exact angle arithmetic for a lune, else the solver."""
+    """The inradius ``inradius`` gives, without the solve for a lune."""
     angle = body.lune_angle
     return inradius(body)[0] if angle is None else angle / 2.0
 

@@ -23,7 +23,7 @@ import numpy as np
 from . import bodies as bd
 from .cones import MAX_AMBIENT_DIM
 from .measure import VerificationReport, mc_map
-from .sphere import UNIT_TOL, SphericalCap, sample_cap_batches
+from .sphere import UNIT_TOL, SphericalCap, sample_uniform_cap
 
 #: Rounding allowed in fan angles, and the seam tolerance of the exact
 #: cover rule: an angular gap no wider than this is closed.  2^12 ulps of
@@ -78,44 +78,52 @@ def make_lune_fan(n, boundary_angles, widen=None, ball=None):
         if np.any(widen < 0.0):
             raise ValueError("widening must be nonnegative")
 
-    lunes = []
-    for i, gap in enumerate(gaps):
-        extra = 0.0 if widen is None else widen[i]
-        theta0 = angles[i] - extra / 2.0
-        lunes.append(bd.make_lune_from_angle(
-            n, min(gap + extra, math.pi), (p, q), theta0=theta0,
-            tag=f"fan-lune-{i}"))
-
     B = ball if ball is not None else SphericalCap(center=p, radius=math.pi)
-    kind = "lune-fan" if widen is None else "perturbed-fan"
-    return CoveringInstance(B=B, bodies=lunes, metadata={
-        "construction": kind, "boundary_angles": angles, "widen": widen})
+    meta = {"construction": "lune-fan" if widen is None else "perturbed-fan",
+            "boundary_angles": angles, "widen": widen}
+    lunes = [bd.make_lune_from_angle(n, width, (p, q), theta0=start,
+                                     tag=f"fan-lune-{i}")
+             for i, (start, width) in enumerate(_fan_arcs(meta))]
+    return CoveringInstance(B=B, bodies=lunes, metadata=meta)
 
 
 def make_hemisphere_fan(n, boundary_angles, widen=None):
     """Overlapping lune cover of a hemisphere.
 
     ``boundary_angles`` theta_0 = 0 < ... < theta_m = pi subdivide [0, pi];
-    lune i spans [theta_i - widen_i / 2, theta_(i+1) + widen_i / 2] clipped
-    to [0, pi], so it lies in the hemisphere B = {<q, x> >= 0}.
+    lune i is clipped to [0, pi] (``_fan_arcs``), so it lies in the
+    hemisphere B = {<q, x> >= 0}.
     """
     angles, gaps = _angles(boundary_angles)
     if np.any(gaps <= 0.0) or abs(angles[0]) > ANGLE_TOL \
             or abs(angles[-1] - math.pi) > ANGLE_TOL:
         raise ValueError("boundary angles must increase from 0 to pi")
     p, q = _fan_plane(n)
-    widen = _widths(widen, gaps.shape[0])
-    lunes = []
-    for i, gap in enumerate(gaps):
-        extra = 0.0 if widen is None else widen[i]
-        lo = max(0.0, angles[i] - extra / 2.0)
-        hi = min(math.pi, angles[i + 1] + extra / 2.0)
-        lunes.append(bd.make_lune_from_angle(n, hi - lo, (p, q), theta0=lo,
-                                             tag=f"hemifan-lune-{i}"))
+    meta = {"construction": "hemisphere-fan", "boundary_angles": angles,
+            "widen": _widths(widen, gaps.shape[0])}
+    lunes = [bd.make_lune_from_angle(n, width, (p, q), theta0=start,
+                                     tag=f"hemifan-lune-{i}")
+             for i, (start, width) in enumerate(_fan_arcs(meta))]
     B = SphericalCap(center=q, radius=math.pi / 2.0)
-    return CoveringInstance(B=B, bodies=lunes, metadata={
-        "construction": "hemisphere-fan", "boundary_angles": angles,
-        "widen": widen})
+    return CoveringInstance(B=B, bodies=lunes, metadata=meta)
+
+
+def _fan_arcs(meta):
+    """(start, width) of each lune's closed arc of fan-plane angles, from a
+    fan's ``metadata``: lune i spans [theta_i - w_i / 2, theta_(i+1) +
+    w_i / 2], clipped to [0, pi] in a hemisphere fan and to a width of pi
+    in the others."""
+    angles, widen = meta["boundary_angles"], meta["widen"]
+    arcs = []
+    for i, gap in enumerate(np.diff(angles)):
+        extra = 0.0 if widen is None else widen[i]
+        lo = angles[i] - extra / 2.0
+        if meta["construction"] == "hemisphere-fan":
+            lo = max(0.0, lo)
+            arcs.append((lo, min(math.pi, angles[i + 1] + extra / 2.0) - lo))
+        else:
+            arcs.append((lo, min(gap + extra, math.pi)))
+    return arcs
 
 
 def _angles(boundary_angles):
@@ -153,7 +161,8 @@ def check_covering(inst, samples=100_000, seed=0, threads=1):
     lie in some body; up to 10 uncovered witnesses are reported.  Nothing
     here is exact: a gap smaller than the sample spacing can pass."""
     def draw(rngs, sizes):
-        pts = sample_cap_batches(inst.B, rngs, sizes)
+        pts = np.concatenate([sample_uniform_cap(inst.B, rng, m)
+                              for rng, m in zip(rngs, sizes)])
         covered = np.zeros(pts.shape[0], dtype=bool)
         for body in inst.bodies:
             covered |= np.asarray(bd.contains(body, pts))
@@ -193,22 +202,14 @@ def _lune_arc(body):
 
 
 def _check_fan_metadata(meta, arcs):
-    """Each arc is the one its constructor meant: lune i spans
-    [theta_i - w_i / 2, theta_(i+1) + w_i / 2], clipped to [0, pi] in a
-    hemisphere fan and to a width of pi in the others.  Ends are compared
-    as points of the circle, to ANGLE_TOL."""
-    angles = meta["boundary_angles"]
-    if len(arcs) != len(angles) - 1:
-        raise ValueError(f"the fan's metadata lists {len(angles) - 1} "
+    """Each arc is the one its constructor meant, ``_fan_arcs(meta)``.
+    Ends are compared as points of the circle, to ANGLE_TOL."""
+    meant = _fan_arcs(meta)
+    if len(arcs) != len(meant):
+        raise ValueError(f"the fan's metadata lists {len(meant)} "
                          f"lunes, the instance has {len(arcs)} bodies")
-    half = 0.0 if meta["widen"] is None else meta["widen"] / 2.0
-    lo, hi = angles[:-1] - half, angles[1:] + half
-    if meta["construction"] == "hemisphere-fan":
-        lo, hi = np.maximum(lo, 0.0), np.minimum(hi, math.pi)
-    else:
-        hi = np.minimum(hi, lo + math.pi)
-    got = np.array([(start, start + width) for start, width in arcs])
-    want = np.column_stack([lo, hi])
+    got, want = (np.array([(start, start + width) for start, width in a])
+                 for a in (arcs, meant))
     chord = np.hypot(np.cos(got) - np.cos(want), np.sin(got) - np.sin(want))
     bad = np.flatnonzero(np.any(chord > ANGLE_TOL, axis=1))
     if bad.size:

@@ -159,9 +159,17 @@ def fan_from_dict(data):
             raise FileFormatError(
                 f"bad widen: shape {widen.shape}, expected one number or "
                 f"one per lune ({len(angles) - 1})")
-    if kind == "hemisphere-fan":
-        return make_hemisphere_fan(n, angles, widen=widen)
-    return make_lune_fan(n, angles, widen=widen, ball=cap)
+    if kind != "hemisphere-fan":
+        return make_lune_fan(n, angles, widen=widen, ball=cap)
+    inst = make_hemisphere_fan(n, angles, widen=widen)
+    B = inst.B
+    if cap is not None and (cap.radius != B.radius
+                            or not np.array_equal(cap.center, B.center)):
+        raise FileFormatError(
+            f"bad ball: a hemisphere fan covers the ball of center "
+            f"{B.center.tolist()} and radius {B.radius!r}, the file gives "
+            f"center {cap.center.tolist()} and radius {cap.radius!r}")
+    return inst
 
 
 def load_fan(path):

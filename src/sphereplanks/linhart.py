@@ -325,7 +325,7 @@ def min_uf_search(R, w, n=2, trials=50, samples=None, seed=0, threads=1):
 
     values = []
     min_gap = math.inf
-    rng = make_stream(seed, (1,))
+    rng = make_stream(seed)  # no mc_map batch draws from key ()
     for t in range(trials):
         poly = random_kb_instance(R, n, rng)
         est = uf(poly, w, samples=samples, seed=seed + 2 + t,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 UNIT_TOL = 1e-12
-#: Most sphere draws one rejection round of ``sample_cap_batches`` makes.
+#: Most sphere draws one rejection round of ``sample_uniform_cap`` makes.
 CAP_ROUND_DRAWS = 1 << 20
 #: Most multiply entries (k * d * rows) a ``row_blocks`` product takes:
 #: OpenBLAS runs products this small on the calling thread.
@@ -179,46 +179,17 @@ def sample_sphere_batches(n, rngs, sizes):
     return g
 
 
-def sample_cap_batches(cap, rngs, sizes):
-    """Uniform points on a cap, batch ``i`` drawn from ``rngs[i]`` with
-    ``sizes[i]`` rows, stacked in order.  The full sphere takes one draw
-    per point and a hemisphere (radius exactly pi/2) one draw per point
-    reflected into it, each normalised in one pass; other radii are drawn
-    batch by batch by rejection."""
-    if cap.radius >= math.pi:
-        return sample_sphere_batches(cap.n, rngs, sizes)
-    if cap.radius == math.pi / 2.0:
-        # Negation maps S^n onto itself and swaps the open hemispheres, so
-        # negating the rows on the far side leaves the batch uniform on the
-        # closed hemisphere, one draw per point.
-        x = sample_sphere_batches(cap.n, rngs, sizes)
-        np.negative(x, out=x, where=(x @ cap.center < 0.0)[:, None])
-        return x
-    return np.concatenate([_reject_into_cap(cap, rng, int(size))
-                           for rng, size in zip(rngs, sizes)])
-
-
 def sample_uniform_cap(cap, rng, size=None):
-    """Uniform points on a cap, the one-batch case of
-    ``sample_cap_batches``: a single vector for ``size=None``, else an
-    array of shape (size, n+1)."""
+    """Uniform points on a cap by rejection, a single vector for
+    ``size=None``, else an array of shape (size, n+1): the first in-cap
+    draws of ``sample_uniform_sphere``, in rounds sized from the cap's
+    area.  A zero-radius cap gives its center, drawing nothing."""
     m = 1 if size is None else int(size)
-    pts = sample_cap_batches(cap, [rng], [m])
-    return pts[0] if size is None else pts
-
-
-def _reject_into_cap(cap, rng, m):
-    """``m`` uniform points on a cap of radius below pi: the first ``m``
-    in-cap draws of ``sample_uniform_sphere``, in rounds sized from the
-    cap's area.  A zero-radius cap gives its center ``m`` times, drawing
-    nothing."""
-    if cap.radius == 0.0:
-        return np.tile(cap.center, (m, 1))
     n = cap.n
     cos_r = math.cos(cap.radius)
     frac = cap_area(n, cap.radius) / sphere_area(n)
-    out = np.empty((m, n + 1))
-    have = 0
+    out = np.tile(cap.center, (m, 1))
+    have = m if cap.radius == 0.0 else 0
     while have < m:
         # 10% more draws than the cap's area fraction needs, so one round
         # usually suffices, and at most CAP_ROUND_DRAWS per round.  Normals
@@ -233,4 +204,4 @@ def _reject_into_cap(cap, rng, m):
         take = min(m - have, kept.shape[0])
         out[have:have + take] = kept[:take]
         have += take
-    return out
+    return out[0] if size is None else out

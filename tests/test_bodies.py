@@ -362,15 +362,20 @@ def test_radius_duality_on_random_bodies():
 # Lunes
 # ---------------------------------------------------------------------------
 
-@given(angle=st.floats(min_value=0.05, max_value=math.pi - 0.05),
+@given(n=st.integers(min_value=2, max_value=4),
+       angle=st.floats(min_value=0.05, max_value=math.pi - 0.05),
        seed=st.integers(min_value=0, max_value=50))
 @settings(max_examples=30, deadline=None)
-def test_lune_angle_is_exact(angle, seed):
-    lune = random_lune(2, make_stream(seed), angle=angle)
+def test_lune_angle_is_exact(n, angle, seed):
+    lune = random_lune(n, make_stream(seed), angle=angle)
     assert lune.lune_angle == angle
-    assert inradius_value(lune) == angle / 2.0
-    # Solver agrees with the exact value.
-    assert inradius(lune)[0] == pytest.approx(angle / 2.0, abs=1e-9)
+    # One inradius, half the angle, with the interior solve's incenter.
+    r, x = inradius(lune)
+    assert r == angle / 2.0 == inradius_value(lune)
+    assert x is lune.interior[1]
+    # The interior solve agrees with the exact value.
+    assert math.asin(lune.interior[0]) == pytest.approx(angle / 2.0,
+                                                        abs=1e-9)
 
 
 def test_hemisphere_lune():

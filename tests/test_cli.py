@@ -86,6 +86,17 @@ def test_inradius_and_circumradius(octant_file):
         math.acos(1 / math.sqrt(3)), abs=1e-9)
 
 
+def test_inradius_and_verify_thm2_agree_on_a_lune(tmp_path):
+    path = str(tmp_path / "lune.json")
+    assert run_cli(["gen-body", "--kind", "lune", "--dim", "3", "--seed",
+                    "4", "--out", path])[0] == 0
+    angle = load_body(path).lune_angle
+    code, out = run_cli(["inradius", path])
+    assert code == 0 and json.loads(out)["inradius"] == angle / 2.0
+    code, out = run_cli(["verify-thm2", path, "--samples", "1000"])
+    assert code == 0 and json.loads(out)["inradius"] == angle / 2.0
+
+
 def test_polar_verb(lune_file, tmp_path):
     code, out = run_cli(["polar", lune_file])
     assert code == 0

@@ -278,7 +278,7 @@ def test_derived_route_draws_nothing(monkeypatch):
         raise AssertionError("the antipodal route sampled or solved")
 
     for module, name in ((covering, "mc_map"),
-                         (covering, "sample_cap_batches"),
+                         (covering, "sample_uniform_cap"),
                          (sphere, "sample_sphere_batches"),
                          (sphere, "sample_uniform_sphere"),
                          (covering.bd, "inradius_value")):

@@ -237,7 +237,18 @@ def test_fuzz_findings_exit_2(verb, data, tmp_path):
     ({"dim": 2, "kind": "hemisphere-fan",
       "boundary_angles": [0, math.pi / 2, math.pi], "widen": [[0.1, 0.1]]},
      "bad widen: shape (1, 2), expected one number or one per lune (2)"),
-], ids=["ball-center", "widen-list", "widen-nested"])
+    # A hemisphere fan's ball must be the hemisphere it covers, which is
+    # what fan_to_dict writes.
+    *[({"dim": 2, "kind": "hemisphere-fan",
+        "boundary_angles": [0, math.pi / 2, math.pi],
+        "ball": {"center": center, "radius": radius}},
+       "bad ball: a hemisphere fan covers the ball of center [0.0, 1.0, 0.0] "
+       f"and radius 1.5707963267948966, the file gives center {center} and "
+       f"radius {radius!r}")
+      for center, radius in (([0.0, 0.0, 1.0], 2.5), ([0.0, 1.0, 0.0], 2.5),
+                             ([0.0, 0.0, 1.0], math.pi / 2))],
+], ids=["ball-center", "widen-list", "widen-nested", "hemisphere-ball",
+        "hemisphere-ball-radius", "hemisphere-ball-center"])
 def test_fan_field_lengths_exit_2_naming_the_field(data, message, tmp_path,
                                                    capsys):
     path = tmp_path / "fan.json"

@@ -470,6 +470,25 @@ def test_min_uf_search_passes():
     assert rep.slack >= 0.0
 
 
+def test_kb_instances_draw_from_a_stream_no_batch_uses(monkeypatch):
+    from sphereplanks import linhart, measure
+    keys = {}
+    for module in (linhart, measure):
+        def recorded(seed, spawn_key=(), _real=module.make_stream,
+                     _log=keys.setdefault(module.__name__, [])):
+            _log.append((seed, tuple(spawn_key)))
+            return _real(seed, spawn_key)
+        monkeypatch.setattr(module, "make_stream", recorded)
+    min_uf_search(1.0, spherical_weight(3), n=3, trials=2, samples=2000,
+                  seed=7)
+    assert keys["sphereplanks.linhart"] == [(7, ())]
+    batches = keys["sphereplanks.measure"]
+    # The segment's Monte Carlo U_f draws batches (7, (b,)), and trial t
+    # draws (9 + t, (b,)); none of them is the instances' stream.
+    assert (7, (1,)) in batches and (7, ()) not in batches
+    assert {seed for seed, _ in batches} == {7, 9, 10}
+
+
 def test_min_uf_search_rejects_zero_trials():
     with pytest.raises(ValueError):
         min_uf_search(1.0, constant_weight(), trials=0)

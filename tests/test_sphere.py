@@ -8,9 +8,8 @@ import pytest
 from sphereplanks.sphere import (CAP_ROUND_DRAWS, GL_NODES, UNIT_TOL,
                                  SphericalCap, cap_area, gauss_legendre,
                                  geodesic_distance, make_stream,
-                                 sample_cap_batches, sample_sphere_batches,
-                                 sample_uniform_cap, sample_uniform_sphere,
-                                 sphere_area)
+                                 sample_sphere_batches, sample_uniform_cap,
+                                 sample_uniform_sphere, sphere_area)
 
 
 def test_sphere_area_closed_forms():
@@ -292,37 +291,9 @@ def test_batch_sampler_resamples_zero_rows_from_their_own_stream(zeros):
     assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
-@pytest.mark.parametrize("radius", [math.pi, math.pi / 2, 1.0])
-def test_batch_samplers_stack_the_one_batch_samplers(radius):
-    sizes = [1, 700, 3, 1563]
-    cap = SphericalCap(center=np.array([0.0, 0.6, 0.0, 0.8]), radius=radius)
-    got = sample_cap_batches(cap, [make_stream(4, (b,)) for b in range(4)],
-                             sizes)
-    ref = np.concatenate([sample_uniform_cap(cap, make_stream(4, (b,)), m)
-                          for b, m in enumerate(sizes)])
-    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
-
-
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_hemisphere_sampler_reflects_the_first_draws(n):
-    center = np.zeros(n + 1)
-    center[-1] = 1.0
-    cap = SphericalCap(center=center, radius=math.pi / 2)
-    m = 5_000
-    rng = _CountingRng(make_stream(9))
-    pts = sample_uniform_cap(cap, rng, size=m)
-    # One draw per point: the first m points of S^n, each moved to the
-    # center's side by negation.
-    draws = sample_uniform_sphere(n, make_stream(9), size=m)
-    ref = np.where((draws[:, -1] < 0.0)[:, None], -draws, draws)
-    assert rng.rows == m
-    assert np.array_equal(pts.view(np.uint64), ref.view(np.uint64))
-    one = sample_uniform_cap(cap, make_stream(9))
-    assert np.array_equal(one.view(np.uint64), ref[0].view(np.uint64))
-
-
 @pytest.mark.parametrize("n,radius,m", [
     (2, 1.0, 5_000), (3, 1.0, 5_000), (4, 1.0, 5_000),
+    (2, math.pi / 2, 5_000), (3, math.pi, 5_000),
     # Needs about 1.6e6 draws: more than one round of CAP_ROUND_DRAWS.
     (2, 0.05, 1_000),
 ])
@@ -337,6 +308,7 @@ def test_cap_sampler_keeps_first_accepted_draws(n, radius, m):
     draws = sample_uniform_sphere(n, make_stream(9), size=rng.rows)
     kept = draws[draws @ center >= math.cos(radius) - UNIT_TOL]
     assert np.array_equal(pts, kept[:m])
+    assert np.array_equal(sample_uniform_cap(cap, make_stream(9)), kept[0])
     # Draws are sized from the cap's area fraction, not 4 per point.
     frac = cap_area(n, radius) / sphere_area(n)
     bound = 1.25 * m / frac

@@ -73,6 +73,11 @@ MALFORMED_FILES = {
                               '3.141592653589793], "widen": [-1e-9, 0.0]}',
     "fan-nan-angle.json": '{"dim": 2, "kind": "hemisphere-fan", '
                           '"boundary_angles": [0, NaN, 3.141592653589793]}',
+    # A ball other than the hemisphere the fan covers.
+    "fan-hemisphere-ball.json": '{"dim": 2, "kind": "hemisphere-fan", '
+                                '"boundary_angles": [0, 1.5707963267948966, '
+                                '3.141592653589793], "ball": {"center": '
+                                '[0, 0, 1], "radius": 2.5}}',
 }
 
 
