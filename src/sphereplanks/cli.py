@@ -24,7 +24,7 @@ from . import files
 from . import gnomonic as gn
 from . import linhart as lh
 from . import measure as ms
-from .cones import FEAS_TOL, MAX_AMBIENT_DIM
+from .cones import MAX_AMBIENT_DIM
 from .randgen import cap_polytope, octant_body, random_body, random_lune
 from .sphere import make_stream
 
@@ -125,8 +125,7 @@ def cmd_gen_fan(args):
 def cmd_inradius(args):
     body = files.load_body(args.body)
     r, x = bd.inradius(body)
-    return 0, {"inradius": r, "incenter": x.tolist(),
-               "solver_tolerance": FEAS_TOL}
+    return 0, {"inradius": r, "incenter": x.tolist()}
 
 
 def cmd_circumradius(args):
@@ -173,7 +172,10 @@ def cmd_uf(args):
 
 def cmd_verify_thm1(args):
     inst = files.load_fan(args.fan)
-    rep = cov.verify_thm1(inst, **_mc(args))
+    # The cover is decided exactly: --threads is accepted and not read.
+    mc = _mc(args)
+    del mc["threads"]
+    rep = cov.verify_thm1(inst, **mc)
     anti = cov.verify_antipodal_argument(rep)
     passed = rep.passed and anti.passed
     payload = {"thm1": rep.to_dict(), "antipodal": anti.to_dict(),

@@ -10,7 +10,8 @@ Lunes whose poles lie in the plane of the first two axes share the ridge
 orthogonal to it, and each is the set of points whose angle in that plane
 lies in a closed arc (points on the ridge lie in every lune).  Such a
 cover is decided exactly by sweeping the arcs over the angles B needs;
-other covers are checked by sampling B.
+other covers are refused.  ``check_covering`` samples B as a separate
+check and claims no bound.
 """
 
 from __future__ import annotations
@@ -186,11 +187,12 @@ def check_covering(inst, samples=100_000, seed=0, threads=1):
 def _lune_arc(body):
     """(start, width) of the closed arc of fan-plane angles that a lune
     covers, read off its one or two poles: the pole at angle phi keeps the
-    half circle [phi + pi/2, phi + 3 pi/2].  None unless ``body`` is a lune
-    whose poles lie in the plane of the first two axes."""
+    half circle [phi + pi/2, phi + 3 pi/2].  Raises ``ValueError`` unless
+    ``body`` is a lune whose poles lie in the plane of the first two axes."""
     H = body.h_normals
     if body.lune_angle is None or H.shape[0] > 2 or np.any(H[:, 2:] != 0.0):
-        return None
+        raise ValueError(f"body {body.tag!r} is not a lune with its poles in "
+                         f"the fan plane: the cover is not decided")
     ends = np.arctan2(H[[0, -1], 1], H[[0, -1], 0]) + math.pi / 2.0
     s0, s1 = ends.tolist()
     d = (s1 - s0) % (2.0 * math.pi)
@@ -233,20 +235,18 @@ def _widest_gap(arcs, lo, hi):
 
 
 def _fan_cover(inst):
-    """Decide the cover exactly when every body is a lune with its poles
-    in the fan plane; return the rule that decided, or None to leave the
-    cover to sampling.
+    """Decide the cover exactly from the lunes' angles; return the rule
+    that decided.  Every body must be a lune with its poles in the fan
+    plane.
 
     B needs the closed half circle of angles facing its centre when it is
     a hemisphere centred in the plane, and the whole circle otherwise.  A
     gap wider than ANGLE_TOL raises ``CoveringError`` with a witness, the
     plane's unit vector at the gap's midpoint, once it is checked to lie in
-    B and outside every body.  A gap whose witness fails that check is left
-    to sampling: under other balls the witness may miss B.
+    B and outside every body.  Under other balls the witness may miss B;
+    then the cover is not decided and ``ValueError`` is raised.
     """
     arcs = [_lune_arc(body) for body in inst.bodies]
-    if None in arcs:
-        return None
     if "boundary_angles" in inst.metadata:
         _check_fan_metadata(inst.metadata, arcs)
     B = inst.B
@@ -265,29 +265,24 @@ def _fan_cover(inst):
     x[:2] = math.cos((a + b) / 2.0), math.sin((a + b) / 2.0)
     if x @ B.center < math.cos(B.radius) - UNIT_TOL or \
             any(bd.contains(body, x) for body in inst.bodies):
-        return None
+        raise ValueError(f"lune angles leave ({a!r}, {b!r}) open, but its "
+                         f"witness {x.tolist()} misses B or lies in a body: "
+                         f"the cover is not decided")
     raise CoveringError(
         f"lune angles leave ({a!r}, {b!r}) uncovered, a gap of {b - a:.3e} "
         f"rad; witness {x.tolist()} lies in B and in no body")
 
 
-def verify_thm1(inst, samples=100_000, seed=0, threads=1):
+def verify_thm1(inst, samples=100_000, seed=0):
     """Covering bound: sum of inradii >= r(B).
 
     For r(B) = pi/2 the stronger sum over the intersections with B is
-    checked as well.  Refuses instances that are not covers.  The cover is
-    decided from the lunes' angles where ``_fan_cover`` applies, and else
-    by ``check_covering`` with ``samples`` and ``seed``, which the report
-    carries either way; its ``cover_rule`` names the rule that decided.
+    checked as well.  The cover is decided exactly by ``_fan_cover``, whose
+    rule the report's ``cover_rule`` names; instances that are not covers
+    are refused, and so are those it cannot decide.  ``samples`` and
+    ``seed`` are not read, only carried in the report.
     """
     rule = _fan_cover(inst)
-    if rule is None:
-        cov = check_covering(inst, samples=samples, seed=seed,
-                             threads=threads)
-        if not cov.passed:
-            raise CoveringError(f"covering check failed with "
-                                f"{-cov.slack:.0f} uncovered samples")
-        rule = cov.tolerance_rule
     r_B = inst.B.radius
     radii = [bd.inradius_value(b) for b in inst.bodies]
     total = math.fsum(radii)
@@ -320,9 +315,9 @@ def verify_antipodal_argument(thm1):
 
     B' is the cap of radius pi - r(B) at the antipode of B's center.  Since
     S^n \\ B lies in B', B' and the bodies cover S^n once the bodies cover
-    B, which ``verify_thm1`` checked: it raises CoveringError on any
-    uncovered point it finds, so ``uncovered`` is 0.  What is left is the
-    rearranged inequality pi - r(B) + sum r(K_i) >= pi.
+    B, which ``verify_thm1`` decided exactly: it returns a report only for
+    a cover, so ``uncovered`` is 0.  What is left is the rearranged
+    inequality pi - r(B) + sum r(K_i) >= pi.
     """
     total, r_B = thm1.lhs, thm1.rhs
     provenance = {k: thm1.details[k] for k in ("seed", "samples")}

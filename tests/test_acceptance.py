@@ -235,8 +235,7 @@ def test_criterion_8_covering_bound(capsys):
         w = float(rng.uniform(0.005, 0.05))
         inst = make_lune_fan(2, random_partition(0.0, 2 * math.pi, 4),
                              widen=w)
-        rep = verify_thm1(inst, samples=50_000, seed=8000 + i,
-                          threads=THREADS)
+        rep = verify_thm1(inst, samples=50_000, seed=8000 + i)
         n_pass += int(rep.passed)
         slack_err = max(slack_err, abs(rep.slack - 4 * w / 2.0))
     for i in range(50):
@@ -244,8 +243,7 @@ def test_criterion_8_covering_bound(capsys):
         m = int(rng.integers(3, 6))
         inst = make_hemisphere_fan(2, random_partition(0.0, math.pi, m),
                                    widen=w)
-        rep = verify_thm1(inst, samples=50_000, seed=8100 + i,
-                          threads=THREADS)
+        rep = verify_thm1(inst, samples=50_000, seed=8100 + i)
         n_pass += int(rep.passed)
         # End lunes clip at 0 and pi: expected slack (m-1) w / 2.
         slack_err = max(slack_err, abs(rep.slack - (m - 1) * w / 2.0))

@@ -14,6 +14,7 @@ from sphereplanks import (CoveringError, check_covering, contains, covering,
                           verify_antipodal_argument, verify_thm1)
 from sphereplanks.cli import main as cli_main
 from sphereplanks.covering import CoveringInstance
+from sphereplanks.files import load_fan
 from sphereplanks.randgen import octant_body
 from sphereplanks.sphere import SphericalCap
 
@@ -309,25 +310,71 @@ def test_verify_thm1_on_fan_files_makes_no_monte_carlo_pass(
     assert cli_main(["gen-fan", "--dim", "3", *fan, "--out", str(path)]) == 0
     capsys.readouterr()
     calls = _count_mc_map(monkeypatch)
-    assert cli_main(["verify-thm1", str(path), "--samples", "20000"]) == 0
-    assert calls == []
-    thm1 = json.loads(capsys.readouterr().out)["thm1"]
+    outs = []
+    for threads in ("1", "2"):
+        assert cli_main(["verify-thm1", str(path), "--samples", "20000",
+                         "--threads", threads]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    thm1 = json.loads(outs[0])["thm1"]
     # The sampled rule's parameters stay in the report.
     assert (thm1["samples"], thm1["seed"]) == (20000, 0)
     assert thm1["cover_rule"].startswith("lune angles cover the")
+    # With a lune removed and no fan metadata, as the benchmark's control
+    # instances are built, the cover is refused as uncovered.
+    inst = load_fan(str(path))
+    gapped = CoveringInstance(B=inst.B, bodies=inst.bodies[1:])
+    with pytest.raises(CoveringError, match="uncovered"):
+        verify_thm1(gapped, samples=20_000, seed=3)
+    assert calls == []
 
 
-def test_verify_thm1_falls_back_to_one_monte_carlo_pass(monkeypatch):
-    # An octant is no lune, so sampling decides the cover.
+def test_verify_thm1_refuses_a_body_that_is_no_fan_lune(monkeypatch):
+    # An octant is no lune: the cover is not decided, and nothing samples.
     inst = make_lune_fan(2, _angles(*[math.pi / 2] * 4))
-    octant = octant_body(2)
     calls = _count_mc_map(monkeypatch)
-    rep = verify_thm1(
-        CoveringInstance(B=inst.B, bodies=[*inst.bodies, octant]),
-        samples=20_000, seed=3)
-    assert len(calls) == 1
-    assert rep.details["cover_rule"] == \
-        "every sampled point of B lies in some body"
+    with pytest.raises(ValueError, match="body 'octant' is not a lune"):
+        verify_thm1(CoveringInstance(B=inst.B,
+                                     bodies=[*inst.bodies, octant_body(2)]),
+                    samples=20_000, seed=3)
+    assert calls == []
+
+
+def test_verify_thm1_refuses_a_gap_whose_witness_misses_b():
+    # Lunes over [0, 3 pi/2] leave the gap (3 pi/2, 2 pi); its midpoint
+    # w(7 pi/4) is the antipode of B's centre, so it misses B, while points
+    # of the gap near the ridge lie in B.
+    mid = 7 * math.pi / 4
+    B = SphericalCap(center=-np.array([math.cos(mid), math.sin(mid), 0.0]),
+                     radius=2.0)
+    inst = CoveringInstance(B=B, bodies=_lunes(
+        2, [(k * math.pi / 2, math.pi / 2) for k in range(3)]))
+    with pytest.raises(ValueError, match="the cover is not decided") as exc:
+        verify_thm1(inst)
+    assert not isinstance(exc.value, CoveringError)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_strong_form_on_lunes_that_cross_the_ball(n, tmp_path, capsys):
+    # Three 2 pi/3 lunes under the hemisphere facing angle pi/2: lune 0
+    # lies in B, lune 1 crosses its boundary and keeps a pi/3 lune, and
+    # lune 2 meets B only on its boundary.
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps({
+        "dim": n, "kind": "lune-fan",
+        "boundary_angles": [0.0, 2 * math.pi / 3, 4 * math.pi / 3,
+                            2 * math.pi],
+        "ball": {"center": np.eye(n + 1)[1].tolist(),
+                 "radius": math.pi / 2}}))
+    assert cli_main(["verify-thm1", str(path)]) == 0
+    thm1 = json.loads(capsys.readouterr().out)["thm1"]
+    assert thm1["pass"]
+    assert thm1["cover_rule"] == \
+        "lune angles cover the half circle facing B's centre"
+    want = [math.pi / 3, math.pi / 6, 0.0]
+    for got, w in zip(thm1["strong_inradii"], want, strict=True):
+        assert abs(got - w) <= 8 * math.ulp(math.pi)
+    assert abs(thm1["strong_sum"] - math.pi / 2) <= 1e-12
 
 
 # The hemisphere-fan file on S^2 whose first lune is narrowed by 1e-7 or

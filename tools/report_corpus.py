@@ -41,6 +41,14 @@ FANS = {"lune": ["--gaps", "pi/2,pi/2,pi"],
         "hemisphere": ["--gaps", "pi/3,pi/3,pi/3", "--hemisphere"],
         "widened-hemisphere": ["--gaps", "pi/2,pi/2", "--hemisphere",
                                "--widen", "0.05"]}
+# Three 2 pi/3 lunes under the hemisphere facing angle pi/2: one lies in
+# B, one crosses its boundary and one meets it only there, so the strong
+# form's intersected inradii are pi/3, pi/6 and 0.
+CROSSING_FAN = ("fan-crossing-2.json",
+                '{"dim": 2, "kind": "lune-fan", "boundary_angles": [0.0, '
+                '2.0943951023931953, 4.1887902047863905, 6.283185307179586], '
+                '"ball": {"center": [0, 1, 0], '
+                '"radius": 1.5707963267948966}}')
 RADII = ("inf", "1e308", "1e-320", "2e-154", "1e-12", "1e-8", "1e-6", "1e-3",
          "1", "1e9")
 HUGE_RADII = ("1e120", "1e150", "6e153", "7e153", "1.3e154")
@@ -122,7 +130,8 @@ def _fan_argvs():
         gens.append(["gen-fan", *extra, "--format", "csv"])
     # At the library's default sample size.
     runs += [["verify-thm1", "fan-widened-2.json"],
-             ["verify-thm1", "fan-hemisphere-3.json"]]
+             ["verify-thm1", "fan-hemisphere-3.json"],
+             ["verify-thm1", CROSSING_FAN[0]]]
     for widen in ("nan", "inf", "-inf"):
         gens.append(["gen-fan", "--gaps", "2pi/3,2pi/3,2pi/3",
                      f"--widen={widen}"])
@@ -247,7 +256,7 @@ def main(src, out_path):
     shutil.rmtree(work, ignore_errors=True)
     work.mkdir()
     os.chdir(work)
-    for name, text in MALFORMED_FILES.items():
+    for name, text in (*MALFORMED_FILES.items(), CROSSING_FAN):
         (work / name).write_text(text)
     records = [_run(cli.main, argv) for argv in argvs()]
     with open(out_path, "w") as fh:
