@@ -190,7 +190,10 @@ def test_verify_prop_and_linhart():
     ["verify-thm1", "{hemi_fan}", "--samples", "20000"],
     ["verify-linhart", "--simplex", "random", "--dim", "3",
      "--samples", "50000"],
-], ids=["verify-thm2", "verify-thm1-hemisphere", "verify-linhart-random-S3"])
+    ["verify-linhart", "--simplex", "random", "--dim", "4",
+     "--samples", "50000"],
+], ids=["verify-thm2", "verify-thm1-hemisphere", "verify-linhart-random-S3",
+        "verify-linhart-random-S4"])
 def test_reports_are_byte_identical_across_threads(argv, octant_file,
                                                    hemi_fan_file, tmp_path):
     argv = [a.format(octant=octant_file, hemi_fan=hemi_fan_file)
@@ -499,9 +502,10 @@ def cap40_s4_file(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["verify-thm1", "{hemi_fan}", "--samples", "7777"],
     ["verify-linhart", "--simplex", "random", "--dim", "3"],
+    ["verify-linhart", "--simplex", "random", "--dim", "4"],
     ["verify-projection", "{cap40}", "--samples", "23456"],
 ], ids=["verify-thm1-hemisphere", "verify-linhart-random-S3",
-        "verify-projection-cap40-S4"])
+        "verify-linhart-random-S4", "verify-projection-cap40-S4"])
 def test_reports_are_byte_identical_across_threads_in_merged_chunks(
         argv, hemi_fan_file, cap40_s4_file, tmp_path):
     """Sample counts whose batches are merged into chunks: all 64 in one

@@ -1,9 +1,11 @@
 """Enclosing balls, spherical images, the hemisphere average C(R, f), and
 the vertex-average inequality."""
 
+import functools
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from sphereplanks import (check_7_1, constant_C, constant_weight,
                           segment_simplex, smallest_enclosing_ball,
                           sphere_area, spherical_weight, uf, uf_lower_bound)
 from sphereplanks.cones import min_norm_point
-from sphereplanks.gnomonic import EuclideanPolytope
+from sphereplanks.gnomonic import QUAD_TOL, EuclideanPolytope
 from sphereplanks.linhart import (_images, check_vertex_averages,
                                   make_kb_instance, random_kb_instance,
                                   sample_spherical_image)
@@ -221,7 +223,7 @@ def test_regular_triangle_image_measure():
 def _image_cases(dims=(2, 3, 4)):
     """Random simplices of every k in R^n, segments, the regular
     triangle."""
-    cases = [("regular-triangle", regular_triangle(1.0))]
+    cases = [("regular-triangle", regular_triangle(1.0))] if 2 in dims else []
     for n in dims:
         cases.append((f"segment-n{n}", segment_simplex(1.0, n)))
         for k in range(1, n + 1):
@@ -237,15 +239,15 @@ def test_one_draw_is_split_exactly_between_the_vertices(name, s):
     # The normal cones partition the directions, and each of u, -u lands in
     # exactly one of them: the vertices of one draw accept 2 N directions.
     samples = 20_000
-    reports = check_vertex_averages(s, constant_weight(), samples, seed=21)
-    assert sum(r.details["accepted"] for r in reports) == 2 * samples
+    accepted = np.sum(_images(s, range(s.k + 1), samples, 21, 1,
+                              lambda dirs, a, keep: np.count_nonzero(keep)),
+                      axis=0)
+    assert accepted.sum() == 2 * samples
     if name.startswith("segment"):
-        for r in reports:
-            assert r.details["accepted"] == samples
-            assert r.details["mu_Sj"] == sphere_area(s.n - 1) / 2.0
+        assert np.all(accepted == samples)
 
 
-@pytest.mark.parametrize("name,s", _image_cases(dims=(2, 3)))
+@pytest.mark.parametrize("name,s", _image_cases())
 @pytest.mark.parametrize("kind", ["constant", "spherical"])
 def test_vertex_averages_are_check_7_1_at_the_same_seed(name, s, kind):
     w = constant_weight() if kind == "constant" else spherical_weight(s.n)
@@ -256,15 +258,27 @@ def test_vertex_averages_are_check_7_1_at_the_same_seed(name, s, kind):
         for j, rep in enumerate(reports):
             assert rep.to_dict() == check_7_1(s, j, w, samples, seed,
                                               3 - threads).to_dict()
+
+
+@pytest.mark.parametrize("name,s", _image_cases(dims=(4,)))
+@pytest.mark.parametrize("kind", ["constant", "spherical"])
+def test_sampled_vertex_averages_are_the_mean_over_the_accepted_draws(
+        name, s, kind):
     # Reference: the average over the accepted directions themselves, as
     # check_7_1 took it before one draw served every vertex.  The heights
     # are the same dot products with E = vertices / R, taken chunk by chunk.
+    w = constant_weight() if kind == "constant" else spherical_weight(s.n)
+    samples, seed = 30_000, 22
+    reports = check_vertex_averages(s, w, samples, seed)
+    assert sum(r.details["accepted"] for r in reports) == 2 * samples
     E = s.vertices / s.R
     for j, rep in enumerate(reports):
         acc, total = sample_spherical_image(s, j, samples, seed)
         h = np.clip(s.R * (acc @ E.T)[:, j], 0.0, None)
         g = np.asarray(w.F(h), dtype=float)
         assert (rep.details["accepted"], total) == (acc.shape[0], samples)
+        assert rep.details["mu_Sj"] == \
+            sphere_area(s.n - 1) / 2.0 * acc.shape[0] / samples
         assert rep.lhs == float(np.mean(g))
         assert rep.details["stderr"] == \
             float(np.std(g, ddof=1) / math.sqrt(g.shape[0]))
@@ -395,6 +409,177 @@ def test_check_7_1_random_simplices():
 def test_check_7_1_bad_vertex_index():
     with pytest.raises(IndexError):
         normal_cone_membership(segment_simplex(1.0, 2), 5, np.eye(2)[0])
+
+
+# ---------------------------------------------------------------------------
+# Polar vertex averages in R^2 and R^3
+# ---------------------------------------------------------------------------
+
+RADII = (1e-3, 1.0, 1e3, 1e6, 1e9)
+
+
+def _mp_G(kind, n, R):
+    """``G(rho, cos rho)`` = int_0^rho F(R cos phi) sin^{n-2} phi dphi in
+    closed form: for n = 3, (Phi(R) - Phi(R cos rho)) / R with Phi' = F."""
+    R = mpmath.mpf(R)
+    if n == 2:
+        if kind == "constant":
+            return lambda r, c: R * mpmath.sin(r)
+        return lambda r, c: mpmath.asin(R * mpmath.sin(r)
+                                        / mpmath.sqrt(1 + R * R))
+    if kind == "constant":
+        def Phi(x):
+            return x * x / 2
+    else:
+        def Phi(x):
+            q = 1 + x * x
+            return (x * (mpmath.atan(x) + x / q) + 1 / q) / 2
+    top = Phi(R)
+    return lambda r, c: (top - Phi(R * c)) / R
+
+
+def _mp_vertex(E, j):
+    """``(integrate, mu)`` for vertex j of the unit simplex E, at the
+    working precision.  ``integrate(h)`` is int h(rho(w), cos rho(w)) dw
+    over unit w orthogonal to p_j: the sum over w = +-q for n = 2, and
+    mpmath.quad over the circle split at rho's kinks for n = 3.  ``mu`` is
+    mu(S_j)."""
+    n = E.shape[1]
+    E = [[mpmath.mpf(float(x)) for x in row] for row in E]
+    p = [x / mpmath.sqrt(mpmath.fdot(E[j], E[j])) for x in E[j]]
+    C = [[x - y for x, y in zip(E[i], E[j])]
+         for i in range(len(E)) if i != j]
+    a = [-mpmath.fdot(p, c) for c in C]
+    Q = []  # orthonormal basis of p-perp, by Gram-Schmidt over the axes
+    for e in range(n):
+        q = [mpmath.mpf(int(i == e)) for i in range(n)]
+        for b in [p] + Q:
+            d = mpmath.fdot(b, q)
+            q = [x - d * y for x, y in zip(q, b)]
+        if mpmath.sqrt(mpmath.fdot(q, q)) > 0.5 and len(Q) < n - 1:
+            Q.append([x / mpmath.sqrt(mpmath.fdot(q, q)) for x in q])
+    cq = [[mpmath.fdot(q, c) for q in Q] for c in C]
+
+    def rho(w):
+        r = min([mpmath.pi / 2] + [mpmath.atan2(ai, mpmath.fdot(w, c))
+                                   for ai, c in zip(a, cq)])
+        return r, mpmath.cos(r)
+
+    if n == 2:
+        rhos = [rho([1]), rho([-1])]
+        return (lambda h: h(*rhos[0]) + h(*rhos[1])), \
+            rhos[0][0] + rhos[1][0]
+    kinks = cq + [[a[k] * x - a[i] * y for x, y in zip(cq[i], cq[k])]
+                  for i in range(len(C)) for k in range(i + 1, len(C))]
+    pts = {mpmath.mpf(0), 2 * mpmath.pi}
+    for d in kinks:
+        t = mpmath.atan2(d[1], d[0]) + mpmath.pi / 2
+        pts |= {t % (2 * mpmath.pi), (t - mpmath.pi) % (2 * mpmath.pi)}
+    at = functools.cache(lambda t: rho([mpmath.cos(t), mpmath.sin(t)]))
+
+    def integrate(h):
+        return mpmath.quad(lambda t: h(*at(t)), sorted(pts))
+
+    return integrate, integrate(lambda r, c: 1 - c)
+
+
+def _polar_cases():
+    """Unit simplices and the vertices checked: every vertex in the plane,
+    the first in R^3 once k >= 2 (each costs a second at 50 digits)."""
+    cases = [pytest.param(segment_simplex(1.0, 2), (0, 1), id="segment-n2"),
+             pytest.param(regular_triangle(1.0), (0, 1, 2),
+                          id="regular-triangle"),
+             pytest.param(segment_simplex(1.0, 3), (0, 1), id="segment-n3")]
+    for n in (2, 3):
+        for k in range(1, n + 1):
+            s = random_simplex(1.0, n, make_stream(700 + 10 * n + k), k=k)
+            cases.append(pytest.param(
+                s, range(s.k + 1) if n == 2 or k == 1 else (0,),
+                id=f"random-n{n}-k{k}"))
+    return cases
+
+
+@pytest.mark.parametrize("s,vertices", _polar_cases())
+def test_polar_vertex_averages_match_50_digit_mpmath(s, vertices):
+    # Each report states QUAD_TOL rhs as its bound; mu(S_j) is held to
+    # QUAD_TOL relative.
+    with mpmath.workdps(50):
+        for j in vertices:
+            integrate, mu = _mp_vertex(s.vertices, j)
+            for kind in ("constant", "spherical"):
+                w = constant_weight() if kind == "constant" \
+                    else spherical_weight(s.n)
+                for R in RADII:
+                    scaled = make_simplex(R, R * s.vertices)
+                    rep, = check_vertex_averages(scaled, w, vertices=[j])
+                    lhs = float(integrate(_mp_G(kind, s.n, R)) / mu)
+                    assert rep.details["stderr"] == QUAD_TOL * rep.rhs
+                    assert abs(rep.lhs - lhs) <= rep.details["stderr"], \
+                        (j, kind, R, rep.lhs, lhs)
+                    assert rep.details["mu_Sj"] == \
+                        pytest.approx(float(mu), rel=QUAD_TOL, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("kind", ["constant", "spherical"])
+def test_polar_segment_averages_are_constant_C(n, kind):
+    # S_j is the half-sphere about p_j, so rho = pi/2 everywhere and the
+    # numerator is constant_C's, panel for panel.  The denominators differ
+    # by rounding: sum dw M(pi/2) here, the quadrature of sin^{n-2} there.
+    w = constant_weight() if kind == "constant" else spherical_weight(n)
+    eps = np.finfo(float).eps
+    for R in (1e-100, 1e-3, 1.0, 5.0, 1e3, 1e9, 1e150):
+        C = constant_C(R, w, n)
+        half = sphere_area(n - 1) / 2.0
+        for rep in check_vertex_averages(segment_simplex(R, n), w):
+            assert rep.rhs == C
+            assert abs(rep.lhs - C) <= 8.0 * eps * C
+            assert abs(rep.details["mu_Sj"] - half) <= 2.0 * eps * half
+            assert rep.passed and abs(rep.slack) <= rep.tolerance
+
+
+def test_polar_route_echoes_samples_and_seed_and_reads_no_threads():
+    s = random_simplex(1.0, 3, make_stream(34), k=3)
+    w = spherical_weight(3)
+    for a, b in zip(check_vertex_averages(s, w, 5, 1, 1),
+                    check_vertex_averages(s, w, 200_000, 9, 3)):
+        a, b = a.to_dict(), b.to_dict()
+        assert (a.pop("samples"), a.pop("seed")) == (5, 1)
+        assert (b.pop("samples"), b.pop("seed")) == (200_000, 9)
+        assert a == b
+
+
+def test_polar_route_refuses_a_vertex_outside_its_normal_cone():
+    # Within BALL_TOL, v_1 lies 1e-10 R beyond the sphere and 1e-6 R from
+    # v_0, so <v_1 - v_0, v_0> > 0: p_0 is not in S_0, and polar
+    # coordinates about p_0 cannot describe S_0.
+    r, e = 1.0 + 1e-10, 1e-6
+    s = make_simplex(1.0, [[1.0, 0.0], [r * math.cos(e), r * math.sin(e)],
+                           [-1.0, 0.0]])
+    with pytest.raises(ValueError, match="vertex 0 lies outside its own"):
+        check_vertex_averages(s, constant_weight())
+
+
+def test_polar_vertex_averages_agree_with_the_sampled_route():
+    # 5 sigma against the one-draw Monte Carlo route, 2e6 directions.
+    samples, seed = 2_000_000, 24
+    for s in (regular_triangle(1.0),
+              random_simplex(1.0, 2, make_stream(31), k=2),
+              random_simplex(2.0, 3, make_stream(32), k=3),
+              random_simplex(0.5, 3, make_stream(33), k=2)):
+        vertices = range(s.k + 1)
+        chunks = _images(s, vertices, samples, seed, 1,
+                         lambda dirs, a, keep: np.abs(np.compress(keep, a)))
+        half = sphere_area(s.n - 1) / 2.0
+        for w in (constant_weight(), spherical_weight(s.n)):
+            for j, rep in zip(vertices, check_vertex_averages(s, w)):
+                g = np.asarray(w.F(s.R * np.concatenate(
+                    [c[j] for c in chunks])), dtype=float)
+                stderr = np.std(g, ddof=1) / math.sqrt(g.shape[0])
+                assert abs(rep.lhs - np.mean(g)) <= 5.0 * stderr
+                f = g.shape[0] / samples
+                assert abs(rep.details["mu_Sj"] - half * f) <= \
+                    5.0 * half * math.sqrt(f * (1.0 - f) / samples)
 
 
 # ---------------------------------------------------------------------------
