@@ -161,9 +161,8 @@ def check_covering(inst, samples=100_000, seed=0, threads=1):
     """Covering check by sampling: every point sampled uniformly in B must
     lie in some body; up to 10 uncovered witnesses are reported.  Nothing
     here is exact: a gap smaller than the sample spacing can pass."""
-    def draw(rngs, sizes):
-        pts = np.concatenate([sample_uniform_cap(inst.B, rng, m)
-                              for rng, m in zip(rngs, sizes)])
+    def draw(rng, size):
+        pts = sample_uniform_cap(inst.B, rng, size)
         covered = np.zeros(pts.shape[0], dtype=bool)
         for body in inst.bodies:
             covered |= np.asarray(bd.contains(body, pts))

@@ -20,8 +20,8 @@ import numpy as np
 from . import bodies as bd
 from .measure import (Estimate, body_digest, combined_stderr, mc_map,
                       mean_width_mc, three_sigma)
-from .sphere import gauss_legendre, graded, row_blocks, \
-    sample_sphere_batches, sphere_area, unit_vector
+from .sphere import circle_rule, row_blocks, sample_uniform_sphere, \
+    sphere_area, unit_vector
 
 FRAME_TOL = 1e-12
 EQUATOR_TOL = 1e-9
@@ -202,24 +202,12 @@ def _uf_quadrature_2d(poly, w, seed):
     1/|v| wide, so the panels next to it are graded toward it.
     """
     V = poly.vertices
-    angles = [0.0, 2.0 * math.pi]
     i, j = np.triu_indices(V.shape[0], 1)
-    for x, y in np.concatenate([V, V[i] - V[j]]).tolist():
-        a = math.atan2(y, x)
-        angles += [a + math.pi / 2.0, a - math.pi / 2.0]
-    kinks = np.arctan2(V[:, 1], V[:, 0]) + math.pi / 2.0
-    layers = graded(np.concatenate([kinks, kinks - math.pi]), math.pi / 2.0,
-                    np.tile(np.linalg.norm(V, axis=1), 2))
-    pts = np.unique(np.mod(np.concatenate([angles, layers]), 2.0 * math.pi))
-    pts = np.concatenate([pts, [2.0 * math.pi]])
-    nodes, weights = gauss_legendre(20)
-    a = pts[:-1][:, None]
-    b = pts[1:][:, None]
-    theta = (a + b) / 2.0 + (b - a) / 2.0 * nodes[None, :]
-    wgt = (b - a) / 2.0 * weights[None, :]
+    theta, wgt = circle_rule(
+        np.concatenate([V, V[i] - V[j]]),
+        np.concatenate([np.linalg.norm(V, axis=1), np.zeros(i.size)]))
     dirs = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    vals = _uf_integrand(poly, w, dirs.reshape(-1, 2)).reshape(theta.shape)
-    total = float(np.sum(vals * wgt))
+    total = float(np.sum(_uf_integrand(poly, w, dirs) * wgt))
     return Estimate(value=total, stderr=QUAD_TOL * abs(total),
                     samples=theta.size, seed=seed, quantity="uf")
 
@@ -228,17 +216,11 @@ def _uf_mc(poly, w, samples, seed, threads):
     n = poly.n
     samples = 1_000_000 if samples is None else samples
 
-    def draw(rngs, sizes):
-        dirs = sample_sphere_batches(n - 1, rngs, sizes)
-        # The integrand and its sums batch by batch: OpenBLAS rounds a
-        # batch's last few products differently inside a longer product.
-        vals = (_uf_integrand(poly, w, d)
-                for d in np.split(dirs, np.cumsum(sizes)[:-1]))
-        return [(float(np.sum(v)), float(np.sum(v * v))) for v in vals]
+    def draw(rng, size):
+        v = _uf_integrand(poly, w, sample_uniform_sphere(n - 1, rng, size))
+        return float(np.sum(v)), float(np.sum(v * v))
 
-    sums = [pair for chunk in mc_map(draw, samples, seed, threads)
-            for pair in chunk]
-    s1, s2 = map(math.fsum, zip(*sums))
+    s1, s2 = map(math.fsum, zip(*mc_map(draw, samples, seed, threads)))
     mean = s1 / samples
     var = max(0.0, s2 / samples - mean * mean)
     mu = sphere_area(n - 1)

@@ -19,17 +19,14 @@ import numpy as np
 from .cones import min_norm_point
 from .gnomonic import QUAD_TOL, EuclideanPolytope, WeightFunction, uf
 from .measure import VerificationReport, mc_map, three_sigma
-from .sphere import (gauss_legendre, graded, integrate, make_stream,
-                     row_blocks, sample_sphere_batches, sample_uniform_sphere,
-                     sphere_area)
+from .sphere import (PANEL_NODES, circle_rule, gauss_legendre, graded,
+                     integrate, make_stream, row_blocks,
+                     sample_uniform_sphere, sphere_area)
 
 #: Tolerance, relative to R, of the checks that a simplex lies in B.
 BALL_TOL = 1e-9
 #: Largest R: (2R)^2 and sums of squares of 1e6 R-sized values are finite.
 MAX_RADIUS = 1e150
-#: Gauss-Legendre nodes per panel of the polar vertex averages, in phi and
-#: in theta.
-POLAR_NODES = 20
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +201,7 @@ def uf_lower_bound(R, w, n):
 
 def _images(s, vertices, samples, seed, threads, reduce):
     """``[[reduce(dirs, a, keep) for each vertex j in vertices] for each
-    chunk]`` of one ``mc_map`` draw of directions ``dirs``, with heights
+    batch]`` of one ``mc_map`` draw of directions ``dirs``, with heights
     a = (E @ dirs.T)[j], E = vertices / R, and ``keep`` marking the
     directions whose fold sign(a) dirs onto the half-sphere D_j lies in
     S_j.
@@ -213,13 +210,13 @@ def _images(s, vertices, samples, seed, threads, reduce):
     vertex.  A fold lies in S_j when a_j is the largest height (a_j >= 0)
     or the smallest (a_j < 0), to 1e-12: ``normal_cone_membership``'s
     test in units of R.  The heights are one product per row block, so
-    BLAS runs them on the calling thread; a chunk of one block uses its
+    BLAS runs them on the calling thread; a batch of one block uses its
     product as it is.
     """
     E = s.vertices / s.R
 
-    def draw(rngs, sizes):
-        dirs = sample_sphere_batches(s.n - 1, rngs, sizes)
+    def draw(rng, size):
+        dirs = sample_uniform_sphere(s.n - 1, rng, size)
         blocks = [dots for _, dots in row_blocks(E, dirs)]  # vertex-major
         heights = blocks[0] if len(blocks) == 1 else np.hstack(blocks)
         hi = heights.max(axis=0) - 1e-12
@@ -245,8 +242,8 @@ def sample_spherical_image(s, j, samples, seed, threads=1):
         return np.compress(keep, dirs * np.where(a >= 0.0, 1.0, -1.0)[:, None],
                            axis=0)
 
-    chunks = _images(s, [j], samples, seed, threads, folded)
-    return np.concatenate([c[0] for c in chunks]), samples
+    batches = _images(s, [j], samples, seed, threads, folded)
+    return np.concatenate([b[0] for b in batches]), samples
 
 
 def _polar_averages(s, w, vertices):
@@ -261,15 +258,15 @@ def _polar_averages(s, w, vertices):
     Then mu(S_j) = int M(rho(w)) dw, M(rho) = rho or 2 sin^2(rho / 2), and
     the S_j-integral of g is int G(rho(w)) dw, G(rho) = int_0^rho g(phi)
     sin^{n-2} phi dphi: ``constant_C``'s panels below rho and one partial
-    panel.  For n = 2, w is +-q.  For n = 3, w(theta) runs over panels
-    split at rho's kinks, <w, c_i> = 0 (graded: rho leaves pi/2 within
-    about a_i / |c_i|, G within 1/R of that) and <w, a_k c_i - a_i c_k> = 0
-    (constraints i and k tie).
+    panel.  For n = 2, w is +-q.  For n = 3, w(theta) runs over the
+    ``circle_rule`` panels split at rho's kinks, <w, c_i> = 0 (graded: rho
+    leaves pi/2 within about a_i / |c_i|, G within 1/R of that) and
+    <w, a_k c_i - a_i c_k> = 0 (constraints i and k tie).
     """
     E = s.vertices / s.R
     ends, vals = _g_panels(s.R, w, s.n)
     cum = np.array([math.fsum(vals[:k]) for k in range(len(vals) + 1)])
-    x, wx = gauss_legendre(POLAR_NODES)
+    x, wx = gauss_legendre(PANEL_NODES)
     out = []
     for j in vertices:
         C = np.delete(E - E[j], j, axis=0)
@@ -281,19 +278,12 @@ def _polar_averages(s, w, vertices):
         if s.n == 2:
             W, dw = np.vstack([Q, -Q]), np.ones(2)
         else:
-            m = a.shape[0]
-            i, l = np.triu_indices(m, 1)
+            i, l = np.triu_indices(a.shape[0], 1)
             kinks = np.vstack([C, a[l, None] * C[i] - a[i, None] * C[l]])
             kinks = kinks @ Q.T
-            t = np.arctan2(kinks[:, 1], kinks[:, 0]) + math.pi / 2.0
-            scale = max(s.R, 1.0) * np.hypot(*kinks[:m].T) / a
-            layers = graded(np.concatenate([t[:m], t[:m] - math.pi]),
-                            math.pi / 2.0, np.tile(scale, 2))
-            pts = np.unique(np.mod(np.concatenate(
-                [[0.0], t, t - math.pi, layers]), 2.0 * math.pi))
-            lo, hi = pts[:, None], np.append(pts[1:], 2.0 * math.pi)[:, None]
-            theta = ((lo + hi) / 2.0 + (hi - lo) / 2.0 * x).ravel()
-            dw = ((hi - lo) / 2.0 * wx).ravel()
+            theta, dw = circle_rule(kinks, np.concatenate(
+                [max(s.R, 1.0) * np.hypot(*kinks[:a.shape[0]].T) / a,
+                 np.zeros(i.size)]))
             W = np.outer(np.cos(theta), Q[0]) + np.outer(np.sin(theta), Q[1])
         rho = np.minimum(np.arctan2(a, W @ C.T).min(axis=1), math.pi / 2.0)
         k = np.searchsorted(ends, rho, side="right") - 1  # panel of rho
@@ -323,12 +313,12 @@ def check_vertex_averages(s, w, samples=200_000, seed=0, threads=1,
         estimates = [(lhs, mu_sj, QUAD_TOL * rhs, "nodes", nodes)
                      for lhs, mu_sj, nodes in _polar_averages(s, w, vertices)]
     else:
-        # Each chunk keeps only the heights |a| of each vertex's folds.
-        chunks = _images(s, vertices, samples, seed, threads,
-                         lambda dirs, a, keep: np.abs(np.compress(keep, a)))
+        # Each batch keeps only the heights |a| of each vertex's folds.
+        batches = _images(s, vertices, samples, seed, threads,
+                          lambda dirs, a, keep: np.abs(np.compress(keep, a)))
         estimates = []
         for i in range(len(vertices)):
-            h = s.R * np.concatenate([c[i] for c in chunks])
+            h = s.R * np.concatenate([b[i] for b in batches])
             if h.shape[0] == 0:
                 raise ValueError("degenerate simplex: empty spherical image "
                                  "sample")

@@ -20,6 +20,9 @@ CAP_ROUND_DRAWS = 1 << 20
 BLOCK_ENTRIES = 1 << 18
 #: Nodes of the Gauss-Legendre rule ``integrate`` uses.
 GL_NODES = 64
+#: Gauss-Legendre nodes per panel of ``circle_rule``, and of the polar
+#: vertex averages' partial panels.
+PANEL_NODES = 20
 
 
 def sphere_area(n):
@@ -69,6 +72,25 @@ def graded(t, h, scale):
     step = h * 0.5 ** k
     return np.concatenate([(t[..., None] - step)[use],
                            (t[..., None] + step)[use]])
+
+
+def circle_rule(normals, scales):
+    """Flat ``(theta, weights)`` of a rule for int_0^{2 pi} h(w) dtheta,
+    w = (cos theta, sin theta), where h is smooth between the directions
+    orthogonal to a row c of ``normals``: t = atan2(c) + pi/2 and t - pi
+    split the circle into panels, graded toward t and t - pi where h has
+    a layer about 1/scales[i] wide (none for scales[i] <= 1), with
+    PANEL_NODES Gauss-Legendre nodes on each panel."""
+    normals = np.asarray(normals, dtype=float)
+    t = np.arctan2(normals[:, 1], normals[:, 0]) + math.pi / 2.0
+    ends = np.concatenate([t, t - math.pi])
+    layers = graded(ends, math.pi / 2.0, np.tile(scales, 2))
+    pts = np.unique(np.mod(np.concatenate([[0.0], ends, layers]),
+                           2.0 * math.pi))
+    lo, hi = pts[:, None], np.append(pts[1:], 2.0 * math.pi)[:, None]
+    x, wx = gauss_legendre(PANEL_NODES)
+    theta = (lo + hi) / 2.0 + (hi - lo) / 2.0 * x
+    return theta.ravel(), ((hi - lo) / 2.0 * wx).ravel()
 
 
 def unit_vector(x, tol=UNIT_TOL):
@@ -143,23 +165,12 @@ def make_stream(seed, spawn_key=()):
 
 
 def sample_uniform_sphere(n, rng, size=None):
-    """Uniform points on S^n, the one-batch case of ``sample_sphere_batches``:
-    a single vector for ``size=None``, else an array of shape (size, n+1)."""
-    m = 1 if size is None else int(size)
-    g = sample_sphere_batches(n, [rng], [m])
-    return g[0] if size is None else g
-
-
-def sample_sphere_batches(n, rngs, sizes):
-    """The points ``sample_uniform_sphere(n, rngs[i], sizes[i])`` gives,
-    stacked in order: one Gaussian fill per batch, one normalising pass.
-    A zero row in batch ``i`` is redrawn from ``rngs[i]``."""
+    """Uniform points on S^n: a single vector for ``size=None``, else an
+    array of shape (size, n+1).  One Gaussian fill, one normalising pass;
+    a zero row is redrawn from ``rng``."""
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    ends = np.cumsum(sizes)
-    g = np.empty((int(ends[-1]), n + 1))
-    for rng, start, end in zip(rngs, ends - sizes, ends):
-        rng.standard_normal(out=g[start:end])
+    g = rng.standard_normal((1 if size is None else int(size), n + 1))
     while True:
         # Row sums of squares column by column: the additions, in order,
         # that np.linalg.norm(g, axis=1) makes, without its reduction over
@@ -168,15 +179,12 @@ def sample_sphere_batches(n, rngs, sizes):
         for j in range(1, g.shape[1]):
             sq += g[:, j] * g[:, j]
         # Resample the (measure-zero) zero draws rather than dividing by 0.
-        bad = sq == 0.0
-        if not np.any(bad):
+        rows = np.flatnonzero(sq == 0.0)
+        if not rows.size:
             break
-        for rng, start, end in zip(rngs, ends - sizes, ends):
-            rows = start + np.flatnonzero(bad[start:end])
-            if rows.size:
-                g[rows] = rng.standard_normal((rows.size, g.shape[1]))
+        g[rows] = rng.standard_normal((rows.size, g.shape[1]))
     g /= np.sqrt(sq)[:, None]
-    return g
+    return g[0] if size is None else g
 
 
 def sample_uniform_cap(cap, rng, size=None):

@@ -499,19 +499,27 @@ def cap40_s4_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def cap24_s3_file(tmp_path):
+    path = tmp_path / "cap24.json"
+    assert main(["gen-body", "--kind", "cap", "--dim", "3", "--vertices",
+                 "24", "--seed", "7", "--out", str(path)]) == 0
+    return str(path)
+
+
 @pytest.mark.parametrize("argv", [
-    ["verify-thm1", "{hemi_fan}", "--samples", "7777"],
-    ["verify-linhart", "--simplex", "random", "--dim", "3"],
+    ["volume", "{cap24}", "--samples", "7777"],
+    ["uf", "{cap24}", "--samples", "7777"],
     ["verify-linhart", "--simplex", "random", "--dim", "4"],
     ["verify-projection", "{cap40}", "--samples", "23456"],
-], ids=["verify-thm1-hemisphere", "verify-linhart-random-S3",
-        "verify-linhart-random-S4", "verify-projection-cap40-S4"])
-def test_reports_are_byte_identical_across_threads_in_merged_chunks(
-        argv, hemi_fan_file, cap40_s4_file, tmp_path):
-    """Sample counts whose batches are merged into chunks: all 64 in one
-    at 7,777 samples, 5 per chunk at the Linhart default of 200,000, 44
-    per chunk at 23,456."""
-    argv = [a.format(hemi_fan=hemi_fan_file, cap40=cap40_s4_file)
+], ids=["volume-cap24-S3", "uf-cap24-S3", "verify-linhart-random-S4",
+        "verify-projection-cap40-S4"])
+def test_reports_are_byte_identical_across_threads_in_small_batches(
+        argv, cap24_s3_file, cap40_s4_file, tmp_path):
+    """Sample counts with small batches: 121 or 122 points at 7,777
+    samples, 3,125 at the Linhart default of 200,000, 366 or 367 at
+    23,456."""
+    argv = [a.format(cap24=cap24_s3_file, cap40=cap40_s4_file)
             for a in argv]
     outs = set()
     for threads in ("1", "2", "3"):

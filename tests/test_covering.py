@@ -280,7 +280,6 @@ def test_derived_route_draws_nothing(monkeypatch):
 
     for module, name in ((covering, "mc_map"),
                          (covering, "sample_uniform_cap"),
-                         (sphere, "sample_sphere_batches"),
                          (sphere, "sample_uniform_sphere"),
                          (covering.bd, "inradius_value")):
         monkeypatch.setattr(module, name, refuse)

@@ -23,8 +23,7 @@ from sphereplanks.gnomonic import QUAD_TOL, EuclideanPolytope
 from sphereplanks.linhart import (_images, check_vertex_averages,
                                   make_kb_instance, random_kb_instance,
                                   sample_spherical_image)
-from sphereplanks.measure import mc_map
-from sphereplanks.sphere import sample_sphere_batches
+from sphereplanks.measure import N_BATCHES, mc_map
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +265,7 @@ def test_sampled_vertex_averages_are_the_mean_over_the_accepted_draws(
         name, s, kind):
     # Reference: the average over the accepted directions themselves, as
     # check_7_1 took it before one draw served every vertex.  The heights
-    # are the same dot products with E = vertices / R, taken chunk by chunk.
+    # are the same dot products with E = vertices / R, taken batch by batch.
     w = constant_weight() if kind == "constant" else spherical_weight(s.n)
     samples, seed = 30_000, 22
     reports = check_vertex_averages(s, w, samples, seed)
@@ -285,13 +284,13 @@ def test_sampled_vertex_averages_are_the_mean_over_the_accepted_draws(
 
 
 def _folded_route(s, samples, seed, threads):
-    """Per chunk and vertex, the accepted folded directions u and their
+    """Per batch and vertex, the accepted folded directions u and their
     heights (u @ E.T)[:, j], E = vertices / R, by folding each direction
     onto D_j and testing it with ``normal_cone_membership``."""
     E = s.vertices / s.R
 
-    def draw(rngs, sizes):
-        dirs = sample_sphere_batches(s.n - 1, rngs, sizes)
+    def draw(rng, size):
+        dirs = sample_uniform_sphere(s.n - 1, rng, size)
         heights = dirs @ E.T
         out = []
         for j in range(s.k + 1):
@@ -305,20 +304,20 @@ def _folded_route(s, samples, seed, threads):
 
 @pytest.mark.parametrize("name,s", _image_cases())
 def test_height_partition_matches_the_folded_membership_route(name, s):
-    samples, seed = 40_000, 23  # three chunks
+    samples, seed = 40_000, 23
     want = _folded_route(s, samples, seed, 1)
     vertices = range(s.k + 1)
     for threads in (1, 2):
         got = _images(s, vertices, samples, seed, threads,
                       lambda dirs, a, keep: np.abs(np.compress(keep, a)))
-        assert len(got) == len(want) == 3
-        for chunk, ref in zip(got, want):
-            for h, (_, h_ref) in zip(chunk, ref):
+        assert len(got) == len(want) == N_BATCHES
+        for batch, ref in zip(got, want):
+            for h, (_, h_ref) in zip(batch, ref):
                 assert np.array_equal(h.view(np.uint64),
                                       h_ref.view(np.uint64))
     for j in vertices:
         acc, _ = sample_spherical_image(s, j, samples, seed, threads=2)
-        ref = np.concatenate([chunk[j][0] for chunk in want])
+        ref = np.concatenate([batch[j][0] for batch in want])
         assert np.array_equal(acc.view(np.uint64), ref.view(np.uint64))
 
 
@@ -568,13 +567,13 @@ def test_polar_vertex_averages_agree_with_the_sampled_route():
               random_simplex(2.0, 3, make_stream(32), k=3),
               random_simplex(0.5, 3, make_stream(33), k=2)):
         vertices = range(s.k + 1)
-        chunks = _images(s, vertices, samples, seed, 1,
-                         lambda dirs, a, keep: np.abs(np.compress(keep, a)))
+        batches = _images(s, vertices, samples, seed, 1,
+                          lambda dirs, a, keep: np.abs(np.compress(keep, a)))
         half = sphere_area(s.n - 1) / 2.0
         for w in (constant_weight(), spherical_weight(s.n)):
             for j, rep in zip(vertices, check_vertex_averages(s, w)):
                 g = np.asarray(w.F(s.R * np.concatenate(
-                    [c[j] for c in chunks])), dtype=float)
+                    [b[j] for b in batches])), dtype=float)
                 stderr = np.std(g, ddof=1) / math.sqrt(g.shape[0])
                 assert abs(rep.lhs - np.mean(g)) <= 5.0 * stderr
                 f = g.shape[0] / samples

@@ -17,10 +17,10 @@ from sphereplanks.covering import (CoveringInstance, check_covering,
 from sphereplanks.gnomonic import (circumcenter_frame, project_body,
                                    spherical_weight, uf)
 from sphereplanks.linhart import random_simplex, sample_spherical_image
-from sphereplanks.measure import (CHUNK_POINTS, N_BATCHES, Estimate,
-                                  combined_stderr, mc_map, three_sigma)
+from sphereplanks.measure import (Estimate, combined_stderr, mc_map,
+                                  three_sigma)
 from sphereplanks.randgen import cap_polytope
-from sphereplanks.sphere import sample_sphere_batches, sample_uniform_sphere
+from sphereplanks.sphere import sample_uniform_sphere
 
 N = 300_000
 
@@ -171,52 +171,29 @@ def test_report_dict_shape():
 
 
 # ---------------------------------------------------------------------------
-# The engine: chunks of batches, and one pool per thread count
+# The engine: one draw per batch, and one pool per thread count
 # ---------------------------------------------------------------------------
 
 ENGINE_SAMPLES = [1, 63, 64, 7_777, 100_000, 200_001]
-CHUNK_SETTINGS = [1, CHUNK_POINTS, 1 << 30]  # a batch each, default, one
 
 
 @pytest.mark.parametrize("samples", ENGINE_SAMPLES)
-def test_chunks_are_runs_of_consecutive_batches(samples):
-    chunks = measure._chunks(samples)
-    flat = [pair for chunk in chunks for pair in chunk]
-    assert flat == [(b, size) for b, size in
-                    enumerate(measure._batch_sizes(samples)) if size]
-    for chunk in chunks:
-        held = sum(size for _, size in chunk)
-        assert held <= CHUNK_POINTS or len(chunk) == 1
-    # Greedy: no chunk could have taken the next one's first batch.
-    for chunk, after in zip(chunks, chunks[1:]):
-        assert sum(size for _, size in chunk) + after[0][1] > CHUNK_POINTS
-
-
-def test_spec_sample_sizes_keep_one_batch_per_chunk():
-    for samples in (1_000_000, 4_000_000):
-        assert [len(c) for c in measure._chunks(samples)] == [1] * N_BATCHES
-
-
-@pytest.mark.parametrize("samples", ENGINE_SAMPLES)
-def test_mc_map_points_do_not_depend_on_chunks_or_threads(samples,
-                                                          monkeypatch):
+def test_mc_map_points_do_not_depend_on_chunks_or_threads(samples):
     # The contract: batch b's points are sample_uniform_sphere on stream
-    # (seed, b), whatever the chunks and the workers.
+    # (seed, b), whatever the workers.
     ref = np.concatenate([
         sample_uniform_sphere(2, make_stream(5, (b,)), size)
         for b, size in enumerate(measure._batch_sizes(samples)) if size])
-    for chunk_points in CHUNK_SETTINGS:
-        monkeypatch.setattr(measure, "CHUNK_POINTS", chunk_points)
-        for threads in (1, 2, 3):
-            parts = mc_map(lambda rngs, sizes:
-                           sample_sphere_batches(2, rngs, sizes),
-                           samples, 5, threads)
-            got = np.concatenate(parts)
-            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+    for threads in (1, 2, 3):
+        parts = mc_map(lambda rng, size: sample_uniform_sphere(2, rng, size),
+                       samples, 5, threads)
+        assert len(parts) == min(samples, measure.N_BATCHES)
+        got = np.concatenate(parts)
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
 def _engine_results(samples, threads):
-    """Reports of the samplers that reduce over chunks, batches or points."""
+    """Reports of the samplers that reduce over batches or points."""
     rng = make_stream(3)
     body = cap_polytope(3, np.array([0.0, 0.0, 0.0, 1.0]), 0.9, rng=rng,
                         n_vertices=24)  # many facets, 24 generators
@@ -235,31 +212,30 @@ def _engine_results(samples, threads):
 
 
 @pytest.mark.parametrize("samples", [64, 7_777, 100_000])
-def test_verifier_results_do_not_depend_on_chunks_or_threads(samples,
-                                                             monkeypatch):
-    ref = None
-    for chunk_points in CHUNK_SETTINGS:
-        monkeypatch.setattr(measure, "CHUNK_POINTS", chunk_points)
-        for threads in (1, 2, 3):
-            got = _engine_results(samples, threads)
-            ref = got if ref is None else ref
-            assert got == ref
+def test_verifier_results_do_not_depend_on_chunks_or_threads(samples):
+    ref = _engine_results(samples, 1)
+    for threads in (2, 3):
+        assert _engine_results(samples, threads) == ref
 
 
 def test_mc_map_rejects_threads_below_one():
     for threads in (0, -3):
         with pytest.raises(ValueError, match="threads must be >= 1"):
-            mc_map(lambda rngs, sizes: 0, 100, 0, threads)
+            mc_map(lambda rng, size: 0, 100, 0, threads)
 
 
-def test_pool_is_made_once_per_thread_count(tmp_path):
-    fan = tmp_path / "fan.json"
-    assert main(["gen-fan", "--dim", "2", "--gaps", "pi/2,pi/2,pi/2,pi/2",
-                 "--widen", "0.02", "--out", str(fan)]) == 0
-    argv = ["verify-thm1", str(fan), "--samples", "100000", "--threads", "2",
+def test_pool_is_made_once_per_thread_count(tmp_path, monkeypatch):
+    body = tmp_path / "body.json"
+    assert main(["gen-body", "--kind", "octant", "--dim", "2",
+                 "--out", str(body)]) == 0
+    argv = ["volume", str(body), "--samples", "100000", "--threads", "2",
             "--out", str(tmp_path / "rep.json")]
-    assert len(measure._chunks(100_000)) > 1  # so the pool is used
+    used, real = [], measure._pool
+    monkeypatch.setattr(measure, "_pool",
+                        lambda threads: used.append(threads) or real(threads))
     assert main(argv) == 0
+    assert used == [2]  # the call ran its batches on the pool
+    assert real.cache_info().currsize >= 1
     before = threading.active_count()
     for _ in range(20):
         assert main(argv) == 0

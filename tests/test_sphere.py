@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from sphereplanks.sphere import (CAP_ROUND_DRAWS, GL_NODES, UNIT_TOL,
-                                 SphericalCap, cap_area, gauss_legendre,
+from sphereplanks.sphere import (CAP_ROUND_DRAWS, GL_NODES, PANEL_NODES,
+                                 UNIT_TOL, SphericalCap, cap_area,
+                                 circle_rule, gauss_legendre,
                                  geodesic_distance, make_stream,
-                                 sample_sphere_batches, sample_uniform_cap,
-                                 sample_uniform_sphere, sphere_area)
+                                 sample_uniform_cap, sample_uniform_sphere,
+                                 sphere_area)
 
 
 def test_sphere_area_closed_forms():
@@ -178,6 +179,34 @@ def test_streams_are_reproducible_and_independent():
     assert not np.array_equal(x1, x2)
 
 
+@pytest.mark.parametrize("scale", [0.0, 1e6])
+def test_circle_rule_splits_and_integrates_exactly(scale):
+    normals = make_stream(40).standard_normal((5, 2))
+    theta, wts = circle_rule(normals, np.full(5, scale))
+    assert theta.shape == wts.shape and np.all(np.diff(theta) > 0.0)
+    assert abs(wts.sum() - 2.0 * math.pi) <= 1e-13
+    # Trigonometric polynomials: every harmonic integrates to 0, and
+    # cos^2 to pi.
+    for k in range(1, 9):
+        assert abs(wts @ np.cos(k * theta)) <= 1e-13
+        assert abs(wts @ np.sin(k * theta)) <= 1e-13
+    assert abs(wts @ np.cos(theta) ** 2 - math.pi) <= 1e-13
+    # Panels are runs of PANEL_NODES nodes; each ends where the running
+    # sum of their weights does.
+    ends = np.concatenate(
+        [[0.0], np.cumsum(wts.reshape(-1, PANEL_NODES).sum(axis=1))])
+    widths = np.diff(ends)
+    t = np.arctan2(normals[:, 1], normals[:, 0]) + math.pi / 2.0
+    for a in np.mod(np.concatenate([t, t - math.pi]), 2.0 * math.pi):
+        k = int(np.argmin(np.abs(ends - a)))
+        assert abs(ends[k] - a) <= 1e-12
+        # Graded toward the split: the panels either side of it are
+        # about 1/scale wide.
+        if scale > 1.0:
+            for p in (k - 1, k):
+                assert widths[p % widths.size] <= math.pi / scale
+
+
 def test_batch_streams_are_uncorrelated():
     # The 64 streams one Monte Carlo run draws from: the sample correlation
     # of two independent normal sequences of length m has standard error
@@ -196,9 +225,8 @@ def test_batch_sampler_second_moments(n):
     # is sqrt(var / m), with E[x_i^4] = 3 / ((n+1)(n+3)) on the diagonal
     # and E[x_i^2 x_j^2] = 1 / ((n+1)(n+3)) off it; bound 5 of them.
     m = 1_000_000
-    sizes = [m // 64] * 64
-    x = sample_sphere_batches(n, [make_stream(19, (b,)) for b in range(64)],
-                              sizes)
+    x = np.concatenate([sample_uniform_sphere(n, make_stream(19, (b,)),
+                                              m // 64) for b in range(64)])
     moments = x.T @ x / m
     d, p = n + 1, 1.0 / ((n + 1) * (n + 3))
     sigma = np.full((d, d), math.sqrt(p / m))
@@ -214,11 +242,10 @@ class _CountingRng:
         self.rows = 0
         self.largest = 0
 
-    def standard_normal(self, shape=None, out=None):
-        rows = (shape if out is None else out.shape)[0]
-        self.rows += rows
-        self.largest = max(self.largest, rows)
-        return self.rng.standard_normal(shape, out=out)
+    def standard_normal(self, shape):
+        self.rows += shape[0]
+        self.largest = max(self.largest, shape[0])
+        return self.rng.standard_normal(shape)
 
 
 class _ZeroFirstRowRng(_CountingRng):
@@ -228,8 +255,8 @@ class _ZeroFirstRowRng(_CountingRng):
         super().__init__(rng)
         self.zero_draws = zero_draws
 
-    def standard_normal(self, shape=None, out=None):
-        g = super().standard_normal(shape, out=out)
+    def standard_normal(self, shape):
+        g = super().standard_normal(shape)
         if self.zero_draws:
             self.zero_draws -= 1
             g[0] = 0.0
@@ -260,35 +287,6 @@ def test_uniform_sphere_resamples_zero_rows(zero_draws):
     assert np.all(np.isfinite(pts))
     assert np.array_equal(pts, g[:5] / np.linalg.norm(g[:5], axis=1,
                                                       keepdims=True))
-
-
-class _ZeroFirstFillRng:
-    """Seeded stream whose first ``zero_draws`` Gaussian fills or draws
-    start with an all-zero row; takes a shape or an ``out=`` array."""
-
-    def __init__(self, seed, zero_draws):
-        self.rng = make_stream(seed)
-        self.zero_draws = zero_draws
-
-    def standard_normal(self, shape=None, out=None):
-        g = self.rng.standard_normal(shape, out=out)
-        if self.zero_draws:
-            self.zero_draws -= 1
-            g[0] = 0.0
-        return g
-
-
-@pytest.mark.parametrize("zeros", [(1, 0, 0), (0, 2, 0), (1, 1, 2)])
-def test_batch_sampler_resamples_zero_rows_from_their_own_stream(zeros):
-    sizes = [5, 3, 4]
-    got = sample_sphere_batches(
-        2, [_ZeroFirstFillRng(s, z) for s, z in zip((8, 9, 10), zeros)],
-        sizes)
-    ref = np.concatenate([
-        sample_uniform_sphere(2, _ZeroFirstFillRng(s, z), size=m)
-        for s, z, m in zip((8, 9, 10), zeros, sizes)])
-    assert np.all(np.isfinite(got))
-    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
 @pytest.mark.parametrize("n,radius,m", [
