@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cones import cone_generators, dedup_rows, max_min_inner
-from .sphere import SphericalCap, geodesic_distance, row_blocks, unit_vector
+from .sphere import SphericalCap, blocked, geodesic_distance, unit_vector
 
 CONTAIN_TOL = 1e-12
 CROSS_TOL = 1e-9
@@ -118,26 +118,22 @@ def contains(body, x):
     taken facet-major in row blocks, shape (k, rows), so the test reduces
     over the long axis.
     """
-    x = np.asarray(x, dtype=float)
-    out = np.empty(x.shape[:-1], dtype=bool)
-    for rows, vals in row_blocks(body.h_normals, x):
-        out[rows] = np.max(vals, axis=0) <= CONTAIN_TOL
-    return out[()]
+    return blocked(body.h_normals, np.asarray(x, dtype=float),
+                   lambda vals: np.max(vals, axis=0) <= CONTAIN_TOL)
 
 
 def hyperplane_meets(body, u):
     """True iff the great subsphere u-perp meets the body.
 
     Sign test on the generators: misses iff all generators lie strictly on
-    one side of u-perp.  ``u`` may be a batch.
+    one side of u-perp.  ``u`` may be a batch; the products are taken
+    generator-major in row blocks.
     """
     if not body.is_body:
         raise BodyError("hyperplane_meets requires a body with interior")
-    u = np.asarray(u, dtype=float)
-    out = np.empty(u.shape[:-1], dtype=bool)
-    for rows, vals in row_blocks(body.v_generators, u):  # generator-major
-        out[rows] = (vals.min(axis=0) <= 0.0) & (vals.max(axis=0) >= 0.0)
-    return out[()]
+    return blocked(body.v_generators, np.asarray(u, dtype=float),
+                   lambda vals: (vals.min(axis=0) <= 0.0)
+                   & (vals.max(axis=0) >= 0.0))
 
 
 def polar(body):
@@ -220,8 +216,6 @@ def make_lune_from_angle(n, angle, plane, theta0=0.0, tag="lune"):
 
     u1 = -direction(theta0 + math.pi / 2.0)
     u2 = -direction(theta0 + angle - math.pi / 2.0)
-    if angle == math.pi:
-        return make_lune(n, u1, u1, tag=tag, angle=angle)
     return make_lune(n, u1, u2, tag=tag, angle=angle)
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from . import bodies as bd
 from .measure import (Estimate, body_digest, combined_stderr, mc_map,
                       mean_width_mc, three_sigma)
-from .sphere import circle_rule, row_blocks, sample_uniform_sphere, \
+from .sphere import blocked, circle_rule, sample_uniform_sphere, \
     sphere_area, unit_vector
 
 FRAME_TOL = 1e-12
@@ -95,8 +95,7 @@ def project_point(frame, x):
     tau = x @ frame.e
     if np.any(tau <= EQUATOR_TOL):
         raise ValueError("point on or beyond the equator of the frame")
-    scaled = x / tau[..., None] if x.ndim > 1 else x / tau
-    return (scaled - frame.e) @ frame.basis.T
+    return (x / tau[..., None] - frame.e) @ frame.basis.T
 
 
 def project_body(frame, body):
@@ -168,11 +167,11 @@ def constant_weight():
 # ---------------------------------------------------------------------------
 
 def _uf_integrand(poly, w, dirs):
-    hi, lo = np.empty(dirs.shape[:-1]), np.empty(dirs.shape[:-1])
-    for rows, dots in row_blocks(poly.vertices, dirs):  # vertex-major
-        hi[rows], lo[rows] = dots.max(axis=0), dots.min(axis=0)
-    upper = np.maximum(hi, 0.0)
-    return w.F(upper) - w.F(np.clip(lo, 0.0, upper))
+    def integrand(dots):  # vertex-major
+        upper = np.maximum(dots.max(axis=0), 0.0)
+        return w.F(upper) - w.F(np.clip(dots.min(axis=0), 0.0, upper))
+
+    return blocked(poly.vertices, dirs, integrand)
 
 
 def uf(poly, w, samples=None, seed=0, mode="auto", threads=1):

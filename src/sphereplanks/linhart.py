@@ -19,9 +19,9 @@ import numpy as np
 from .cones import min_norm_point
 from .gnomonic import QUAD_TOL, EuclideanPolytope, WeightFunction, uf
 from .measure import VerificationReport, mc_map, three_sigma
-from .sphere import (PANEL_NODES, circle_rule, gauss_legendre, graded,
-                     integrate, make_stream, row_blocks,
-                     sample_uniform_sphere, sphere_area)
+from .sphere import (PANEL_NODES, blocked, circle_rule, gauss_legendre,
+                     graded, integrate, make_stream, sample_uniform_sphere,
+                     sphere_area)
 
 #: Tolerance, relative to R, of the checks that a simplex lies in B.
 BALL_TOL = 1e-9
@@ -161,9 +161,8 @@ def normal_cone_membership(s, j, u):
     i.e. <u, v_i - v_j> <= 1e-12 R for all i.  ``u`` may be a batch."""
     if not 0 <= j <= s.k:
         raise IndexError(f"vertex index {j} out of range")
-    u = np.asarray(u, dtype=float)
-    diffs = s.vertices - s.vertices[j]
-    return np.max(diffs @ u.T, axis=0) <= 1e-12 * s.R
+    return blocked(s.vertices - s.vertices[j], np.asarray(u, dtype=float),
+                   lambda p: np.max(p, axis=0) <= 1e-12 * s.R)
 
 
 # ---------------------------------------------------------------------------
@@ -209,16 +208,14 @@ def _images(s, vertices, samples, seed, threads, reduce):
     The normal cones partition the sphere, so one draw serves every
     vertex.  A fold lies in S_j when a_j is the largest height (a_j >= 0)
     or the smallest (a_j < 0), to 1e-12: ``normal_cone_membership``'s
-    test in units of R.  The heights are one product per row block, so
-    BLAS runs them on the calling thread; a batch of one block uses its
-    product as it is.
+    test in units of R.  The heights are one ``blocked`` product, so BLAS
+    runs them on the calling thread.
     """
     E = s.vertices / s.R
 
     def draw(rng, size):
         dirs = sample_uniform_sphere(s.n - 1, rng, size)
-        blocks = [dots for _, dots in row_blocks(E, dirs)]  # vertex-major
-        heights = blocks[0] if len(blocks) == 1 else np.hstack(blocks)
+        heights = blocked(E, dirs)  # vertex-major
         hi = heights.max(axis=0) - 1e-12
         lo = heights.min(axis=0) + 1e-12
         out = []
@@ -305,7 +302,8 @@ def check_vertex_averages(s, w, samples=200_000, seed=0, threads=1,
     ``threads`` is not read.  For n >= 4 every vertex reads one draw of
     ``samples`` directions, so its report is the one ``check_7_1`` gives
     at the same seed; the estimates of different vertices are correlated,
-    but no verdict combines them.
+    but no verdict combines them.  A vertex with fewer than 2 accepted
+    draws has no standard error and raises ``ValueError``.
     """
     vertices = range(s.k + 1) if vertices is None else vertices
     rhs = constant_C(s.R, w, s.n)
@@ -317,14 +315,14 @@ def check_vertex_averages(s, w, samples=200_000, seed=0, threads=1,
         batches = _images(s, vertices, samples, seed, threads,
                           lambda dirs, a, keep: np.abs(np.compress(keep, a)))
         estimates = []
-        for i in range(len(vertices)):
+        for i, j in enumerate(vertices):
             h = s.R * np.concatenate([b[i] for b in batches])
-            if h.shape[0] == 0:
-                raise ValueError("degenerate simplex: empty spherical image "
-                                 "sample")
+            if h.shape[0] < 2:
+                raise ValueError(f"vertex {j} got {h.shape[0]} of {samples} "
+                                 f"samples in its spherical image; a "
+                                 f"standard error needs at least 2")
             g = np.asarray(w.F(h), dtype=float)
-            stderr = float(np.std(g, ddof=1) / math.sqrt(g.shape[0])) \
-                if g.shape[0] > 1 else 0.0
+            stderr = float(np.std(g, ddof=1) / math.sqrt(g.shape[0]))
             mu_sj = sphere_area(s.n - 1) / 2.0 * h.shape[0] / samples
             estimates.append((float(np.mean(g)), mu_sj, stderr, "accepted",
                               int(h.shape[0])))
@@ -390,31 +388,30 @@ def min_uf_search(R, w, n=2, trials=50, samples=None, seed=0, threads=1):
     seg_poly = EuclideanPolytope(vertices=seg.vertices)
     seg_est = uf(seg_poly, w, samples=samples, seed=seed, threads=threads)
     bound = uf_lower_bound(R, w, n)
-
-    values = []
-    min_gap = math.inf
-    rng = make_stream(seed)  # no mc_map batch draws from key ()
-    for t in range(trials):
-        poly = random_kb_instance(R, n, rng)
-        est = uf(poly, w, samples=samples, seed=seed + 2 + t,
-                 threads=threads)
-        values.append(est.value)
-        gap = est.value - (seg_est.value
-                           - 3.0 * math.hypot(est.stderr, seg_est.stderr))
-        min_gap = min(min_gap, gap)
-
+    # The segment's one sigma: the quadrature bound for n = 2, else exact,
+    # since a sample can miss the 1/R-wide layer of F(R |u_1|).
     sigma = seg_est.stderr
-    if n > 2:  # exact: a sample can miss the 1/R-wide layer of F(R |u_1|)
+    if n > 2:
         sq = WeightFunction("square", F=lambda s: w.F(s) ** 2)
         var = max(0.0, constant_C(R, sq, n) - constant_C(R, w, n) ** 2)
         sigma = sphere_area(n - 1) * math.sqrt(var / seg_est.samples)
+
+    lowest = min_gap = math.inf
+    rng = make_stream(seed)  # no mc_map batch draws from key ()
+    for t in range(trials):
+        est = uf(random_kb_instance(R, n, rng), w, samples=samples,
+                 seed=seed + 2 + t, threads=threads)
+        lowest = min(lowest, est.value)
+        min_gap = min(min_gap, est.value - (
+            seg_est.value - 3.0 * math.hypot(est.stderr, sigma)))
+
     # The bound is a quadrature, exact to QUAD_TOL relative.
     seg_tol = 3.0 * math.hypot(sigma, QUAD_TOL * abs(bound))
     seg_ok = abs(seg_est.value - bound) <= seg_tol
     passed = (min_gap >= 0.0) and seg_ok
     return VerificationReport(
         claim="segment_minimizes_uf",
-        lhs=float(min(values)), rhs=seg_est.value,
+        lhs=lowest, rhs=seg_est.value,
         slack=min_gap, tolerance=seg_tol,
         tolerance_rule=("every U_f(K) >= U_f(segment) - 3 combined sigma; "
                         "segment matches mu(S^{n-1}) C(R,f)"),

@@ -15,7 +15,7 @@ import numpy as np
 UNIT_TOL = 1e-12
 #: Most sphere draws one rejection round of ``sample_uniform_cap`` makes.
 CAP_ROUND_DRAWS = 1 << 20
-#: Most multiply entries (k * d * rows) a ``row_blocks`` product takes:
+#: Most multiply entries (k * d * rows) a ``blocked`` product takes:
 #: OpenBLAS runs products this small on the calling thread.
 BLOCK_ENTRIES = 1 << 18
 #: Nodes of the Gauss-Legendre rule ``integrate`` uses.
@@ -112,15 +112,15 @@ def normalize(x):
     return v / nrm
 
 
-def row_blocks(A, x):
-    """``(rows, A @ x[rows].T)`` over row blocks of the batch ``x`` that
-    depend only on ``A.shape``; a 1-d ``x`` is one block, ``rows = ()``."""
-    if x.ndim == 1:
-        yield (), A @ x
-        return
+def blocked(A, x, reduce=lambda p: p):
+    """``reduce(A @ x.T)`` over row blocks of the batch ``x`` that depend
+    only on ``A.shape``, joined along the last axis.  A 1-d ``x``, or a
+    batch that fits in one block, is one product, reduced as it is."""
     step = max(1, BLOCK_ENTRIES // A.size)
-    for start in range(0, x.shape[0], step):
-        yield slice(start, start + step), A @ x[start:start + step].T
+    if x.ndim == 1 or x.shape[0] <= step:
+        return reduce(A @ x.T)
+    return np.concatenate([reduce(A @ x[start:start + step].T)
+                           for start in range(0, x.shape[0], step)], axis=-1)
 
 
 def geodesic_distance(x, y):

@@ -1,11 +1,13 @@
 """End-to-end CLI checks: verbs, exit codes, deterministic reports."""
 
 import argparse
+import importlib.util
 import inspect
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -316,21 +318,37 @@ def test_malformed_file_exits_2(tmp_path):
     assert code == 2
 
 
-@pytest.mark.parametrize("payload", [
-    {"dim": 2, "rep": "H", "normals": [[0, 0, -1]], "tags": [1]},
-    {"dim": 2, "rep": "H", "normals": {"a": 1}},
-    {"dim": 2, "rep": "H", "normals": [[0, 0, -1], [0, 1]]},
-    {"dim": 2, "rep": "H", "normals": [[0, 0, -1], [0, 1, 0]],
-     "tags": {"lune_angle": "nan"}},
+MALFORMED_BODIES = [
+    ({"dim": 2, "rep": "H", "normals": [[0, 0, -1]], "tags": [1]},
+     "bad tags field [1]: expected an object"),
+    ({"dim": 2, "rep": "H", "normals": {"a": 1}}, "bad normals: "),
+    ({"dim": 2, "rep": "H", "normals": [[0, 0, -1], [0, 1]]},
+     "bad normals: "),
+    ({"dim": 2, "rep": "H", "normals": [[0, 0, -1], [0, 1, 0]],
+      "tags": {"lune_angle": "nan"}},
+     "stated lune angle disagrees with the poles"),
     # A lune file's generators are checked before the lune is rebuilt
     # from its poles.
-    {"dim": 2, "rep": "both", "normals": [[0, 0, 1]],
-     "generators": [[1, 0, 0], [0, 0, 1]], "tags": {"lune_angle": "pi"}},
-])
-def test_malformed_body_fields_exit_2(tmp_path, payload):
+    ({"dim": 2, "rep": "both", "normals": [[0, 0, 1]],
+      "generators": [[1, 0, 0], [0, 0, 1]], "tags": {"lune_angle": "pi"}},
+     "inconsistent dual representations"),
+    ({"dim": 2, "rep": "H", "normals": [[0, 0, -1, 0]]},
+     "vectors have length 4, expected 3"),
+    # The cone of +-e_1, +-e_2, +-e_3 is the origin alone.
+    ({"dim": 2, "rep": "H", "normals": [[1, 0, 0], [-1, 0, 0], [0, 1, 0],
+                                        [0, -1, 0], [0, 0, 1], [0, 0, -1]]},
+     "empty body (cone reduces to the origin)"),
+]
+
+
+@pytest.mark.parametrize("payload, message", MALFORMED_BODIES,
+                         ids=[f"payload{i}"
+                              for i in range(len(MALFORMED_BODIES))])
+def test_malformed_body_fields_exit_2(tmp_path, payload, message, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(payload))
     assert main(["inradius", str(bad)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_lune_file_generators_are_rederived_from_its_poles(tmp_path):
@@ -380,6 +398,61 @@ def test_bad_fan_file_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("ball, message", [
+    ({"center": [0, 2, 0], "radius": math.pi / 2}, "not a unit vector"),
+    ({"center": [0, 1, 0], "radius": 4},
+     "cap radius must lie in [0, pi], got 4.0"),
+], ids=["center-not-unit", "radius-4"])
+def test_bad_fan_ball_exits_2(ball, message, tmp_path, capsys):
+    fan_path = tmp_path / "ball.json"
+    fan_path.write_text(json.dumps({
+        "dim": 2, "kind": "lune-fan", "ball": ball,
+        "boundary_angles": [0.0, 2 * math.pi / 3, 4 * math.pi / 3,
+                            2 * math.pi]}))
+    assert main(["verify-thm1", str(fan_path), "--samples", "5000"]) == 2
+    assert "bad fan file: " + message in capsys.readouterr().err
+
+
+def test_lune_angle_above_pi_exits_2(capsys):
+    assert main(["gen-body", "--kind", "lune", "--angle", "4"]) == 2
+    assert "lune angle must lie in (0, pi], got 4.0" in \
+        capsys.readouterr().err
+
+
+def test_mean_width_of_a_body_without_interior_exits_2(tmp_path, capsys):
+    # Two cap vertices span an arc.
+    arc = tmp_path / "arc.json"
+    assert main(["gen-body", "--kind", "cap", "--vertices", "2",
+                 "--out", str(arc)]) == 0
+    assert main(["meanwidth", str(arc), "--samples", "1000"]) == 2
+    assert "requires a body with interior" in capsys.readouterr().err
+
+
+def test_corpus_malformed_inputs_exit_2_without_a_traceback(tmp_path,
+                                                            monkeypatch):
+    """``tools/report_corpus.py``'s malformed argvs, run as the tool runs
+    them: every argv that reads a malformed file exits 2, except the
+    planted narrowed fans, whose covers fail (exit 1)."""
+    spec = importlib.util.spec_from_file_location(
+        "report_corpus",
+        Path(__file__).resolve().parent.parent / "tools" / "report_corpus.py")
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    monkeypatch.chdir(tmp_path)
+    for name, text in (*corpus.MALFORMED_FILES.items(), corpus.CROSSING_FAN):
+        (tmp_path / name).write_text(text)
+    gens = [argv for argv in corpus._body_argvs() + corpus._fan_argvs()
+            if argv[0].startswith("gen-")
+            and argv[-1] in ("octant-2-3.json", "fan-lune-2.json")]
+    assert [corpus._run(main, argv)["code"] for argv in gens] == [0, 0]
+    records = [corpus._run(main, argv) for argv in corpus._malformed_argvs()]
+    assert all(rec["code"] != "traceback" for rec in records)
+    for rec in records:
+        read = [a for a in rec["argv"] if a in corpus.MALFORMED_FILES]
+        if read:
+            assert rec["code"] == (1 if "narrowed" in read[0] else 2), rec
+
+
 def test_large_cap_polytope_and_polar_radius_duality(tmp_path):
     """S^4 cap with 64 vertices: the polar's inradius is pi/2 minus the
     body's circumradius."""
@@ -410,6 +483,27 @@ def test_bad_linhart_ball_exits_2(argv, capsys):
     err = capsys.readouterr().err
     assert "need radius R > 0 and dimension n >= 2" in err
     assert "got 0" not in err
+
+
+@pytest.mark.parametrize("dim, seed", [("3", "1"), ("3", "11"), ("4", "16")])
+def test_verify_prop_holds_where_f_saturates(dim, seed):
+    # At R = 1e9 the draws miss F's 1/R-wide layer, so each estimate's
+    # sampled stderr reads about 0 and the instances' U_f differ from the
+    # segment's by rounding; the segment's exact sigma bounds the gap.
+    code, out = run_cli(["verify-prop", "--weight", "spherical",
+                         "--radius=1e9", "--samples", "2000", "--dim", dim,
+                         "--seed", seed])
+    assert code == 0
+    assert json.loads(out)["slack"] >= 0.0
+
+
+@pytest.mark.parametrize("samples", ["5", "1"])
+def test_vertex_average_from_fewer_than_two_draws_exits_2(samples, capsys):
+    # Vertex 0 of seed 0's random 4-simplex gets one accepted draw, whose
+    # standard error would read 0.
+    assert main(["verify-linhart", "--dim", "4", "--samples", samples]) == 2
+    assert f"vertex 0 got 1 of {samples} samples in its spherical image" \
+        in capsys.readouterr().err
 
 
 def test_verify_prop_in_dimension_5_uses_the_spherical_weight():

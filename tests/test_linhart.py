@@ -673,6 +673,25 @@ def test_kb_instances_draw_from_a_stream_no_batch_uses(monkeypatch):
     assert {seed for seed, _ in batches} == {7, 9, 10}
 
 
+@pytest.mark.parametrize("n, weight", [(2, spherical_weight(2)),
+                                       (2, constant_weight()),
+                                       (3, spherical_weight(3))],
+                         ids=["n2-spherical", "n2-constant", "n3-spherical"])
+def test_min_uf_search_fails_a_planted_shorter_segment(n, weight,
+                                                       monkeypatch):
+    """A segment shorter than the diameter is not in K(B), and its U_f lies
+    below the segment's: the search must fail on the gap alone, while the
+    segment itself still matches its bound."""
+    from sphereplanks import linhart
+    short = EuclideanPolytope(vertices=0.9 * segment_simplex(1.0, n).vertices)
+    monkeypatch.setattr(linhart, "random_kb_instance",
+                        lambda R, n, rng: short)
+    rep = min_uf_search(1.0, weight, n=n, trials=3, samples=20000, seed=5)
+    assert not rep.passed
+    assert rep.slack < 0.0
+    assert abs(rep.details["segment_residual"]) <= rep.tolerance
+
+
 def test_min_uf_search_rejects_zero_trials():
     with pytest.raises(ValueError):
         min_uf_search(1.0, constant_weight(), trials=0)

@@ -62,6 +62,11 @@ MALFORMED_FILES = {
     "body-nan-angle.json": '{"dim": 2, "rep": "H", "normals": '
                            '[[0, 0, -1], [0, 1, 0]], '
                            '"tags": {"lune_angle": "nan"}}',
+    "body-length.json": '{"dim": 2, "rep": "H", "normals": [[0, 0, -1, 0]]}',
+    # The cone of +-e_1, +-e_2, +-e_3 is the origin alone.
+    "body-empty.json": '{"dim": 2, "rep": "H", "normals": [[1, 0, 0], '
+                       '[-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], '
+                       '[0, 0, -1]]}',
     "fan-span.json": '{"dim": 2, "kind": "lune-fan", '
                      '"boundary_angles": [0.0, 1.5707963267948966, '
                      '3.141592653589793]}',
@@ -86,6 +91,15 @@ MALFORMED_FILES = {
                                 '"boundary_angles": [0, 1.5707963267948966, '
                                 '3.141592653589793], "ball": {"center": '
                                 '[0, 0, 1], "radius": 2.5}}',
+    "fan-ball-center.json": '{"dim": 2, "kind": "lune-fan", '
+                            '"boundary_angles": [0.0, 2.0943951023931953, '
+                            '4.1887902047863905, 6.283185307179586], '
+                            '"ball": {"center": [0, 2, 0], '
+                            '"radius": 1.5707963267948966}}',
+    "fan-ball-radius.json": '{"dim": 2, "kind": "lune-fan", '
+                            '"boundary_angles": [0.0, 2.0943951023931953, '
+                            '4.1887902047863905, 6.283185307179586], '
+                            '"ball": {"center": [0, 1, 0], "radius": 4}}',
 }
 
 
@@ -191,7 +205,11 @@ def _malformed_argvs():
         ["gen-body", "--dim", "0"], ["gen-body", "--dim", "9"],
         ["gen-body", "--kind", "cap", "--dim", "1"],
         ["gen-body", "--kind", "lune", "--angle", "half"],
-        ["gen-body", "--kind", "cap", "--vertices", "2"],
+        ["gen-body", "--kind", "lune", "--angle", "4"],
+        # Two vertices span an arc, which has no interior.
+        ["gen-body", "--kind", "cap", "--vertices", "2", "--out",
+         "cap-2-vertices.json"],
+        ["meanwidth", "cap-2-vertices.json", *MC],
         *(["gen-body", "--kind", "cap", f"--cap-radius={radius}"]
           for radius in CAP_RADII),
         ["gen-fan", "--gaps", "pi/2,pi/2"],
