@@ -11,8 +11,7 @@ import math
 import numpy as np
 
 from sphereplanks import CoveringError, verify_antipodal_argument, verify_thm1
-from sphereplanks.covering import CoveringInstance, make_hemisphere_fan, \
-    make_lune_fan
+from sphereplanks.covering import CoveringInstance, make_lune_fan
 
 
 def main():
@@ -31,8 +30,9 @@ def main():
     print(f"  slack = {rep.slack:.15f} (constructed: {4 * 0.02 / 2:.15f})")
 
     print("\n=== hemisphere target: the strong intersected form ===")
-    inst = make_hemisphere_fan(2, [0.0, math.pi / 3, 2 * math.pi / 3,
-                                   math.pi], widen=0.05)
+    # Angles from 0 to pi make a fan of the hemisphere {x_2 >= 0}.
+    inst = make_lune_fan(2, [0.0, math.pi / 3, 2 * math.pi / 3, math.pi],
+                         widen=0.05)
     rep = verify_thm1(inst, samples=100_000, seed=2)
     print(f"  sum r(K_i)        = {rep.lhs:.6f} >= pi/2 = {rep.rhs:.6f}")
     print(f"  sum r(K_i ∩ B)    = {rep.details['strong_sum']:.6f}")

@@ -9,8 +9,7 @@ from .bodies import (BodyError, ConvexBody, circumradius, contains,
                      hyperplane_meets, inradius, intersect_with_hemisphere,
                      make_body, make_lune, make_lune_from_angle, polar)
 from .covering import (CoveringError, CoveringInstance, check_covering,
-                       make_hemisphere_fan, make_lune_fan,
-                       verify_antipodal_argument, verify_thm1)
+                       make_lune_fan, verify_antipodal_argument, verify_thm1)
 from .gnomonic import (EuclideanPolytope, ProjectionFrame, WeightFunction,
                        check_projection_consistency, circumcenter_frame,
                        constant_weight, frame_at, hyperplane_param,

@@ -113,10 +113,10 @@ def cmd_gen_fan(args):
     gaps = [files.parse_angle(g) for g in args.gaps.split(",")]
     angles = np.concatenate([[0.0], np.cumsum(gaps)])
     widen = files.parse_angle(args.widen) if args.widen else None
-    if args.hemisphere:
-        inst = cov.make_hemisphere_fan(args.dim, angles, widen=widen)
-    else:
-        inst = cov.make_lune_fan(args.dim, angles, widen=widen)
+    inst = cov.make_lune_fan(args.dim, angles, widen=widen)
+    if args.hemisphere != (inst.metadata["construction"] == "hemisphere-fan"):
+        raise ValueError(f"--hemisphere is given exactly when the gaps sum "
+                         f"to pi, and these sum to {float(angles[-1])!r}")
     payload = files.fan_to_dict(inst)
     payload["seed"] = args.seed
     return 0, payload

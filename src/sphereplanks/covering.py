@@ -57,55 +57,51 @@ class CoveringInstance:
 
 
 def make_lune_fan(n, boundary_angles, widen=None, ball=None):
-    """Fan of lunes covering S^n (or the ball ``ball`` if given).
+    """Fan of lunes over the strictly increasing ``boundary_angles``, the
+    one fan constructor; the angles decide what the fan covers.
 
-    ``boundary_angles`` must be strictly increasing with total span 2 pi
-    and every gap at most pi.  ``widen`` adds the given angle to each lune
-    symmetrically, producing an overlapping cover.
+    Angles that run from 0 to pi make a hemisphere fan: it covers
+    B = {<e_2, x> >= 0}, a ``ball`` given must be that B, and each lune is
+    clipped to [0, pi] (``_fan_arcs``), so any finite ``widen`` is allowed.
+    Angles that span 2 pi make a fan of S^n, or of ``ball`` if given: each
+    gap must be at most pi, and ``widen`` nonnegative with gap + widen at
+    most pi.  ``widen`` adds the given angle to each lune symmetrically,
+    producing an overlapping cover; a negative one narrows the lunes of a
+    hemisphere fan, a planted non-cover that ``verify_thm1`` refuses.
     """
     angles, gaps = _angles(boundary_angles)
     if np.any(gaps <= 0.0):
         raise ValueError("boundary angles must be strictly increasing")
-    if abs(angles[-1] - angles[0] - 2.0 * math.pi) > ANGLE_TOL:
-        raise ValueError("boundary angles must span exactly 2 pi")
-    if np.any(gaps > math.pi + ANGLE_TOL):
-        raise ValueError("each lune must lie in a hemisphere (gap <= pi)")
     p, q = _fan_plane(n)
-
     widen = _widths(widen, gaps.shape[0])
-    if widen is not None:
-        if np.any(gaps + widen > math.pi + ANGLE_TOL):
-            raise ValueError("widened lune exceeds a hemisphere")
-        if np.any(widen < 0.0):
-            raise ValueError("widening must be nonnegative")
-
-    B = ball if ball is not None else SphericalCap(center=p, radius=math.pi)
-    meta = {"construction": "lune-fan" if widen is None else "perturbed-fan",
-            "boundary_angles": angles, "widen": widen}
+    if abs(angles[0]) <= ANGLE_TOL and abs(angles[-1] - math.pi) <= ANGLE_TOL:
+        B = SphericalCap(center=q, radius=math.pi / 2.0)
+        if ball is not None and (ball.radius != B.radius or
+                                 not np.array_equal(ball.center, B.center)):
+            raise ValueError(
+                f"bad ball: a hemisphere fan covers the ball of center "
+                f"{B.center.tolist()} and radius {B.radius!r}, the file gives "
+                f"center {ball.center.tolist()} and radius {ball.radius!r}")
+        kind, tag = "hemisphere-fan", "hemifan-lune"
+    else:
+        if abs(angles[-1] - angles[0] - 2.0 * math.pi) > ANGLE_TOL:
+            raise ValueError(f"boundary angles must run from 0 to pi or span "
+                             f"exactly 2 pi, got {angles.tolist()}")
+        if np.any(gaps > math.pi + ANGLE_TOL):
+            raise ValueError("each lune must lie in a hemisphere (gap <= pi)")
+        if widen is not None:
+            if np.any(gaps + widen > math.pi + ANGLE_TOL):
+                raise ValueError("widened lune exceeds a hemisphere")
+            if np.any(widen < 0.0):
+                raise ValueError("widening must be nonnegative")
+        B = ball if ball is not None else SphericalCap(center=p,
+                                                       radius=math.pi)
+        kind = "lune-fan" if widen is None else "perturbed-fan"
+        tag = "fan-lune"
+    meta = {"construction": kind, "boundary_angles": angles, "widen": widen}
     lunes = [bd.make_lune_from_angle(n, width, (p, q), theta0=start,
-                                     tag=f"fan-lune-{i}")
+                                     tag=f"{tag}-{i}")
              for i, (start, width) in enumerate(_fan_arcs(meta))]
-    return CoveringInstance(B=B, bodies=lunes, metadata=meta)
-
-
-def make_hemisphere_fan(n, boundary_angles, widen=None):
-    """Overlapping lune cover of a hemisphere.
-
-    ``boundary_angles`` theta_0 = 0 < ... < theta_m = pi subdivide [0, pi];
-    lune i is clipped to [0, pi] (``_fan_arcs``), so it lies in the
-    hemisphere B = {<q, x> >= 0}.
-    """
-    angles, gaps = _angles(boundary_angles)
-    if np.any(gaps <= 0.0) or abs(angles[0]) > ANGLE_TOL \
-            or abs(angles[-1] - math.pi) > ANGLE_TOL:
-        raise ValueError("boundary angles must increase from 0 to pi")
-    p, q = _fan_plane(n)
-    meta = {"construction": "hemisphere-fan", "boundary_angles": angles,
-            "widen": _widths(widen, gaps.shape[0])}
-    lunes = [bd.make_lune_from_angle(n, width, (p, q), theta0=start,
-                                     tag=f"hemifan-lune-{i}")
-             for i, (start, width) in enumerate(_fan_arcs(meta))]
-    B = SphericalCap(center=q, radius=math.pi / 2.0)
     return CoveringInstance(B=B, bodies=lunes, metadata=meta)
 
 

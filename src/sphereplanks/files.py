@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import bodies as bd
-from .covering import make_hemisphere_fan, make_lune_fan
+from .covering import make_lune_fan
 from .sphere import SphericalCap
 
 FAN_KINDS = ("lune-fan", "perturbed-fan", "hemisphere-fan")
@@ -159,16 +159,13 @@ def fan_from_dict(data):
             raise FileFormatError(
                 f"bad widen: shape {widen.shape}, expected one number or "
                 f"one per lune ({len(angles) - 1})")
-    if kind != "hemisphere-fan":
-        return make_lune_fan(n, angles, widen=widen, ball=cap)
-    inst = make_hemisphere_fan(n, angles, widen=widen)
-    B = inst.B
-    if cap is not None and (cap.radius != B.radius
-                            or not np.array_equal(cap.center, B.center)):
+    inst = make_lune_fan(n, angles, widen=widen, ball=cap)
+    if (kind == "hemisphere-fan") != \
+            (inst.metadata["construction"] == "hemisphere-fan"):
         raise FileFormatError(
-            f"bad ball: a hemisphere fan covers the ball of center "
-            f"{B.center.tolist()} and radius {B.radius!r}, the file gives "
-            f"center {cap.center.tolist()} and radius {cap.radius!r}")
+            f"bad kind field {kind!r}: a fan is a 'hemisphere-fan' exactly "
+            f"when its boundary angles run from 0 to pi, and these run from "
+            f"{angles[0]!r} to {angles[-1]!r}")
     return inst
 
 

@@ -66,8 +66,9 @@ def cap_polytope(n, center, radius, n_vertices=64, rng=None):
     """
     if not 0.0 < radius < math.pi / 2.0:
         raise ValueError(f"cap radius must be in (0, pi/2), got {radius}")
-    if n_vertices < 1:
-        raise ValueError(f"need at least 1 vertex, got {n_vertices}")
+    if n_vertices < n + 1:
+        raise ValueError(f"a cap polytope in S^{n} needs at least {n + 1} "
+                         f"vertices, got {n_vertices}")
     center = normalize(np.asarray(center, dtype=float))
     # Orthonormal basis of center-perp.
     _, _, Vt = np.linalg.svd(center[None, :], full_matrices=True)

@@ -20,8 +20,7 @@ from sphereplanks import (check_7_1, check_identity_2_1,
                           verify_antipodal_argument, verify_thm1, verify_thm2,
                           volume_mc)
 from sphereplanks.cli import main as cli_main
-from sphereplanks.covering import (check_covering, make_hemisphere_fan,
-                                   make_lune_fan)
+from sphereplanks.covering import check_covering, make_lune_fan
 from sphereplanks.gnomonic import circumcenter_frame, project_body
 from sphereplanks.linhart import random_simplex, regular_triangle
 from sphereplanks.measure import combined_stderr
@@ -243,8 +242,7 @@ def test_criterion_8_covering_bound(capsys):
     for i in range(50):
         w = float(rng.uniform(0.005, 0.05))
         m = int(rng.integers(3, 6))
-        inst = make_hemisphere_fan(2, random_partition(0.0, math.pi, m),
-                                   widen=w)
+        inst = make_lune_fan(2, random_partition(0.0, math.pi, m), widen=w)
         rep = verify_thm1(inst, samples=50_000, seed=8100 + i)
         n_pass += int(rep.passed)
         # End lunes clip at 0 and pi: expected slack (m-1) w / 2.

@@ -398,6 +398,26 @@ def test_bad_fan_file_exits_2(tmp_path):
     assert code == 2
 
 
+# Gaps summing to pi make a hemisphere fan, which --hemisphere names; gaps
+# summing to 2 pi make a fan of S^n, whose lunes widen by at least 0.
+@pytest.mark.parametrize("argv, message", [
+    (["--gaps", "pi,pi", "--hemisphere"],
+     "--hemisphere is given exactly when the gaps sum to pi, and these sum "
+     "to 6.283185307179586"),
+    (["--gaps", "pi/2,pi/2"],
+     "--hemisphere is given exactly when the gaps sum to pi, and these sum "
+     "to 3.141592653589793"),
+    (["--gaps", "pi/2,pi/2,pi", "--widen", "-0.1"],
+     "widening must be nonnegative"),
+], ids=["hemisphere-full-turn", "half-turn", "narrowed-sphere"])
+def test_gen_fan_refuses_gaps_that_do_not_make_its_fan(argv, message,
+                                                      tmp_path, capsys):
+    out = tmp_path / "fan.json"
+    assert main(["gen-fan", *argv, "--out", str(out)]) == 2
+    assert f"error: {message}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("ball, message", [
     ({"center": [0, 2, 0], "radius": math.pi / 2}, "not a unit vector"),
     ({"center": [0, 1, 0], "radius": 4},
@@ -420,10 +440,13 @@ def test_lune_angle_above_pi_exits_2(capsys):
 
 
 def test_mean_width_of_a_body_without_interior_exits_2(tmp_path, capsys):
-    # Two cap vertices span an arc.
+    # Two generators span an arc, a cap that gen-body refuses.
     arc = tmp_path / "arc.json"
     assert main(["gen-body", "--kind", "cap", "--vertices", "2",
-                 "--out", str(arc)]) == 0
+                 "--out", str(arc)]) == 2
+    assert "needs at least 3 vertices, got 2" in capsys.readouterr().err
+    arc.write_text(json.dumps({"dim": 2, "rep": "V", "generators": [
+        [0.6, 0.0, 0.8], [-0.6, 0.0, 0.8]]}))
     assert main(["meanwidth", str(arc), "--samples", "1000"]) == 2
     assert "requires a body with interior" in capsys.readouterr().err
 
@@ -528,11 +551,16 @@ def test_gen_cap_body_without_vertices_uses_64():
     (["--kind", "random", "--dim", "2", "--vertices", "0"],
      "needs at least 3 generators"),
     (["--kind", "cap", "--dim", "2", "--vertices", "0"],
-     "need at least 1 vertex"),
+     "a cap polytope in S^2 needs at least 3 vertices, got 0"),
     (["--kind", "cap", "--dim", "3", "--vertices", "-2"],
-     "need at least 1 vertex"),
+     "a cap polytope in S^3 needs at least 4 vertices, got -2"),
+    # Fewer than n + 1 vertices span no interior.
+    (["--kind", "cap", "--dim", "2", "--vertices", "2"],
+     "a cap polytope in S^2 needs at least 3 vertices, got 2"),
+    (["--kind", "cap", "--dim", "3", "--vertices", "3"],
+     "a cap polytope in S^3 needs at least 4 vertices, got 3"),
 ], ids=["random-S2-1", "random-S3-3", "random-S2-0", "cap-S2-0",
-        "cap-S3-negative"])
+        "cap-S3-negative", "cap-S2-2", "cap-S3-3"])
 def test_gen_body_with_too_few_vertices_exits_2(argv, message, capsys):
     assert main(["gen-body", *argv]) == 2
     assert message in capsys.readouterr().err

@@ -9,9 +9,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sphereplanks import (CoveringError, check_covering, contains, covering,
-                          make_hemisphere_fan, make_lune, make_lune_fan,
-                          make_lune_from_angle, measure, sphere,
-                          verify_antipodal_argument, verify_thm1)
+                          make_lune, make_lune_fan, make_lune_from_angle,
+                          measure, sphere, verify_antipodal_argument,
+                          verify_thm1)
 from sphereplanks.cli import main as cli_main
 from sphereplanks.covering import CoveringInstance
 from sphereplanks.files import load_fan
@@ -42,19 +42,50 @@ def test_fan_requires_increasing_angles():
         make_lune_fan(2, _angles(3.5, 2 * math.pi - 3.5))  # gap > pi
 
 
-@pytest.mark.parametrize("make", [make_lune_fan, make_hemisphere_fan])
-def test_fan_needs_two_boundary_angles(make):
+def test_fan_needs_two_boundary_angles():
     for angles in ([], [0.0]):
         with pytest.raises(ValueError, match="at least two boundary angles"):
-            make(2, angles)
+            make_lune_fan(2, angles)
+
+
+# Angles from 0 to pi make a fan of the hemisphere {x_2 >= 0}, whose lunes
+# are clipped to [0, pi]; a 2 pi span makes a fan of S^n or of the ball
+# given.
+@pytest.mark.parametrize("angles, widen, ball, center, radius, kind, widths", [
+    ([0.0, math.pi / 2, math.pi], 0.4, None, [0, 1, 0], math.pi / 2,
+     "hemisphere-fan", [math.pi / 2 + 0.2] * 2),
+    ([0.0, math.pi / 2, math.pi], None, ([0, 1, 0], math.pi / 2), [0, 1, 0],
+     math.pi / 2, "hemisphere-fan", [math.pi / 2] * 2),
+    ([0.0, math.pi, 2 * math.pi], 0.0, None, [1, 0, 0], math.pi,
+     "perturbed-fan", [math.pi] * 2),
+    ([1.0, 1.0 + math.pi, 1.0 + 2 * math.pi], None, ([0, 0, 1], 2.0),
+     [0, 0, 1], 2.0, "lune-fan", [math.pi] * 2),
+], ids=["hemisphere-widened", "hemisphere-ball", "sphere", "sphere-ball"])
+def test_the_angles_decide_what_a_fan_covers(angles, widen, ball, center,
+                                             radius, kind, widths):
+    if ball is not None:
+        ball = SphericalCap(center=np.array(ball[0], dtype=float),
+                            radius=ball[1])
+    inst = make_lune_fan(2, angles, widen=widen, ball=ball)
+    assert inst.metadata["construction"] == kind
+    assert inst.B.center.tolist() == center and inst.B.radius == radius
+    assert [b.lune_angle for b in inst.bodies] == pytest.approx(widths,
+                                                                abs=1e-15)
+    prefix = "hemifan-lune" if kind == "hemisphere-fan" else "fan-lune"
+    assert [b.tag for b in inst.bodies] == [f"{prefix}-0", f"{prefix}-1"]
 
 
 def test_widen_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="widening must be nonnegative"):
         make_lune_fan(2, _angles(*[math.pi / 2] * 4), widen=-0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="widened lune exceeds"):
         make_lune_fan(2, _angles(math.pi, math.pi / 2, math.pi / 2),
                       widen=0.5)  # pi + 0.5 > pi
+    # A hemisphere fan takes any finite widen; a negative one narrows its
+    # lunes into a non-cover, which the verifier refuses.
+    narrowed = make_lune_fan(2, _angles(*[math.pi / 2] * 2), widen=-0.1)
+    with pytest.raises(CoveringError, match="uncovered"):
+        verify_thm1(narrowed)
 
 
 def test_widened_fan_slack_is_exact():
@@ -157,7 +188,7 @@ def test_lune_angle_must_match_the_poles():
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_verify_thm1_refuses_hemisphere_fan_missing_a_lune(n):
-    inst = make_hemisphere_fan(n, _angles(*[math.pi / 3] * 3), widen=0.05)
+    inst = make_lune_fan(n, _angles(*[math.pi / 3] * 3), widen=0.05)
     broken = CoveringInstance(B=inst.B, bodies=inst.bodies[::2])
     samples, seed = 20_000, 6
     with pytest.raises(CoveringError):
@@ -171,7 +202,7 @@ def test_verify_thm1_refuses_hemisphere_fan_missing_a_lune(n):
 
 def test_hemisphere_fan_strong_form():
     angles = _angles(*[math.pi / 4] * 4)
-    inst = make_hemisphere_fan(2, angles, widen=0.05)
+    inst = make_lune_fan(2, angles, widen=0.05)
     rep = verify_thm1(inst, samples=50_000, seed=5)
     assert rep.passed
     # Strong form: intersected inradii sum to >= pi/2.
@@ -180,8 +211,12 @@ def test_hemisphere_fan_strong_form():
 
 
 def test_hemisphere_fan_requires_zero_to_pi():
-    with pytest.raises(ValueError):
-        make_hemisphere_fan(2, [0.1, math.pi])
+    with pytest.raises(ValueError, match="run from 0 to pi or span exactly"):
+        make_lune_fan(2, [0.1, math.pi])
+    # A hemisphere fan covers {x_2 >= 0}, and no other ball.
+    ball = SphericalCap(center=np.array([0.0, 0.0, 1.0]), radius=math.pi / 2)
+    with pytest.raises(ValueError, match="bad ball: a hemisphere fan covers"):
+        make_lune_fan(2, [0.0, math.pi / 2, math.pi], ball=ball)
 
 
 def test_covering_instance_requires_large_ball():
@@ -213,7 +248,7 @@ def test_antipodal_route_skips_full_sphere():
 
 
 def test_antipodal_route_hemisphere():
-    inst = make_hemisphere_fan(2, _angles(*[math.pi / 3] * 3), widen=0.02)
+    inst = make_lune_fan(2, _angles(*[math.pi / 3] * 3), widen=0.02)
     rep = verify_antipodal_argument(verify_thm1(inst, samples=50_000, seed=9))
     assert rep.passed
     assert rep.details["uncovered"] == 0
@@ -244,8 +279,8 @@ PINNED_ROUTES = {
          "antipodal_radius": 0.7853981633974483, "seed": 6,
          "samples": 50000}),
     "hemisphere": (
-        lambda: make_hemisphere_fan(2, _angles(*[math.pi / 3] * 3),
-                                    widen=0.02), 50_000, 9,
+        lambda: make_lune_fan(2, _angles(*[math.pi / 3] * 3), widen=0.02),
+        50_000, 9,
         {"claim": "antipodal_ball_route", "lhs": 0.019999999999999796,
          "rhs": 0.019999999999999574, "slack": 0.019999999999999796,
          "tolerance": 1e-09, "tolerance_rule": _ROUTE_RULE, "pass": True,
@@ -253,8 +288,8 @@ PINNED_ROUTES = {
          "antipodal_radius": 1.5707963267948966, "seed": 9,
          "samples": 50000}),
     "hemisphere-S3": (
-        lambda: make_hemisphere_fan(3, _angles(*[math.pi / 3] * 3),
-                                    widen=0.05), 20_000, 11,
+        lambda: make_lune_fan(3, _angles(*[math.pi / 3] * 3), widen=0.05),
+        20_000, 11,
         {"claim": "antipodal_ball_route", "lhs": 0.04999999999999982,
          "rhs": 0.04999999999999982, "slack": 0.04999999999999982,
          "tolerance": 1e-09, "tolerance_rule": _ROUTE_RULE, "pass": True,
@@ -272,7 +307,7 @@ def test_derived_route_gives_the_sampled_route_report(case):
 
 
 def test_derived_route_draws_nothing(monkeypatch):
-    inst = make_hemisphere_fan(2, _angles(*[math.pi / 3] * 3), widen=0.02)
+    inst = make_lune_fan(2, _angles(*[math.pi / 3] * 3), widen=0.02)
     rep = verify_thm1(inst, samples=20_000, seed=9)
 
     def refuse(*args, **kwargs):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from sphereplanks import make_stream, octant_body, random_body, random_lune
 from sphereplanks.cli import main
-from sphereplanks.covering import make_hemisphere_fan, make_lune_fan
+from sphereplanks.covering import make_lune_fan
 from sphereplanks.files import (FileFormatError, body_from_dict, body_to_dict,
                                 fan_from_dict, fan_to_dict, load_body,
                                 load_fan, parse_angle, save_body)
@@ -107,7 +107,7 @@ def test_fan_roundtrip(tmp_path):
 
 
 def test_hemisphere_fan_roundtrip(tmp_path):
-    inst = make_hemisphere_fan(2, [0.0, math.pi / 2, math.pi], widen=0.05)
+    inst = make_lune_fan(2, [0.0, math.pi / 2, math.pi], widen=0.05)
     path = tmp_path / "hemifan.json"
     path.write_text(json.dumps(fan_to_dict(inst)))
     back = load_fan(path)
@@ -247,8 +247,20 @@ def test_fuzz_findings_exit_2(verb, data, tmp_path):
        f"radius {radius!r}")
       for center, radius in (([0.0, 0.0, 1.0], 2.5), ([0.0, 1.0, 0.0], 2.5),
                              ([0.0, 0.0, 1.0], math.pi / 2))],
+    # The kind is "hemisphere-fan" exactly when the angles run from 0 to pi.
+    ({"dim": 2, "kind": "hemisphere-fan",
+      "boundary_angles": [0, math.pi, 2 * math.pi]},
+     "bad kind field 'hemisphere-fan': a fan is a 'hemisphere-fan' exactly "
+     "when its boundary angles run from 0 to pi, and these run from 0.0 to "
+     "6.283185307179586"),
+    ({"dim": 2, "kind": "lune-fan",
+      "boundary_angles": [0, math.pi / 2, math.pi]},
+     "bad kind field 'lune-fan': a fan is a 'hemisphere-fan' exactly when "
+     "its boundary angles run from 0 to pi, and these run from 0.0 to "
+     "3.141592653589793"),
 ], ids=["ball-center", "widen-list", "widen-nested", "hemisphere-ball",
-        "hemisphere-ball-radius", "hemisphere-ball-center"])
+        "hemisphere-ball-radius", "hemisphere-ball-center",
+        "hemisphere-kind-full-turn", "lune-kind-half-turn"])
 def test_fan_field_lengths_exit_2_naming_the_field(data, message, tmp_path,
                                                    capsys):
     path = tmp_path / "fan.json"

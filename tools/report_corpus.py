@@ -67,9 +67,16 @@ MALFORMED_FILES = {
     "body-empty.json": '{"dim": 2, "rep": "H", "normals": [[1, 0, 0], '
                        '[-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], '
                        '[0, 0, -1]]}',
+    # Two generators span an arc, which has no interior.
+    "cap-2-vertices.json": '{"dim": 2, "rep": "V", "generators": '
+                           '[[0.6, 0.0, 0.8], [-0.6, 0.0, 0.8]]}',
+    # A fan's kind disagreeing with its angles, either way round.
     "fan-span.json": '{"dim": 2, "kind": "lune-fan", '
                      '"boundary_angles": [0.0, 1.5707963267948966, '
                      '3.141592653589793]}',
+    "fan-kind.json": '{"dim": 2, "kind": "hemisphere-fan", '
+                     '"boundary_angles": [0.0, 3.141592653589793, '
+                     '6.283185307179586]}',
     "fan-widen.json": '{"dim": 2, "kind": "hemisphere-fan", '
                       '"boundary_angles": [0.0, 1.5707963267948966, '
                       '3.141592653589793], "widen": [0.1, 0.1, 0.1]}',
@@ -206,13 +213,14 @@ def _malformed_argvs():
         ["gen-body", "--kind", "cap", "--dim", "1"],
         ["gen-body", "--kind", "lune", "--angle", "half"],
         ["gen-body", "--kind", "lune", "--angle", "4"],
-        # Two vertices span an arc, which has no interior.
-        ["gen-body", "--kind", "cap", "--vertices", "2", "--out",
-         "cap-2-vertices.json"],
+        # Fewer than n + 1 cap vertices span no interior.
+        ["gen-body", "--kind", "cap", "--vertices", "2"],
+        ["gen-body", "--kind", "cap", "--dim", "3", "--vertices", "3"],
         ["meanwidth", "cap-2-vertices.json", *MC],
         *(["gen-body", "--kind", "cap", f"--cap-radius={radius}"]
           for radius in CAP_RADII),
         ["gen-fan", "--gaps", "pi/2,pi/2"],
+        ["gen-fan", "--gaps", "pi,pi", "--hemisphere"],
         ["gen-fan", "--gaps", "pi/0,pi"],
         ["gen-fan", "--dim", "9", "--gaps", "pi,pi"],
         ["gen-fan", "--gaps", "nan,pi"],
