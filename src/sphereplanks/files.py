@@ -19,7 +19,6 @@ from . import bodies as bd
 from .covering import make_lune_fan
 from .sphere import SphericalCap
 
-FAN_KINDS = ("lune-fan", "perturbed-fan", "hemisphere-fan")
 _ANGLE_RE = re.compile(r"^\s*(\d+)?\s*\*?\s*pi\s*(?:/\s*(\d+))?\s*$")
 
 
@@ -139,7 +138,6 @@ def fan_to_dict(inst):
 def fan_from_dict(data):
     try:
         n = int(data["dim"])
-        kind = data.get("kind", "lune-fan")
         angles = [float(a) for a in data["boundary_angles"]]
         ball = data.get("ball")
         cap = None if ball is None else SphericalCap(
@@ -147,8 +145,6 @@ def fan_from_dict(data):
             radius=float(ball["radius"]))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FileFormatError(f"bad fan file: {exc}") from None
-    if kind not in FAN_KINDS:
-        raise FileFormatError(f"bad kind field {kind!r}")
     if cap is not None and cap.n != n:
         raise FileFormatError(f"bad ball center: {cap.n + 1} entries, "
                               f"expected dim + 1 = {n + 1}")
@@ -160,12 +156,13 @@ def fan_from_dict(data):
                 f"bad widen: shape {widen.shape}, expected one number or "
                 f"one per lune ({len(angles) - 1})")
     inst = make_lune_fan(n, angles, widen=widen, ball=cap)
-    if (kind == "hemisphere-fan") != \
-            (inst.metadata["construction"] == "hemisphere-fan"):
+    made = inst.metadata["construction"]
+    if data.get("kind", made) != made:
         raise FileFormatError(
-            f"bad kind field {kind!r}: a fan is a 'hemisphere-fan' exactly "
-            f"when its boundary angles run from 0 to pi, and these run from "
-            f"{angles[0]!r} to {angles[-1]!r}")
+            f"bad kind field {data['kind']!r}: boundary angles from {angles[0]!r} to "
+            f"{angles[-1]!r} {'with' if widen is not None else 'without'} "
+            f"widen make a {made!r} (a 'hemisphere-fan' runs from 0 to pi, "
+            f"a 'perturbed-fan' spans 2 pi with widen)")
     return inst
 
 

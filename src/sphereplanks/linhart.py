@@ -17,12 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cones import min_norm_point
-from .gnomonic import QUAD_TOL, EuclideanPolytope, WeightFunction, uf
+from .gnomonic import EuclideanPolytope, WeightFunction, uf
 from .measure import VerificationReport, mc_map, three_sigma
 from .sphere import (PANEL_NODES, blocked, circle_rule, gauss_legendre,
                      graded, integrate, make_stream, sample_uniform_sphere,
                      sphere_area)
 
+#: Stated relative error of the polar and hemisphere quadratures.
+QUAD_TOL = 1e-10
 #: Tolerance, relative to R, of the checks that a simplex lies in B.
 BALL_TOL = 1e-9
 #: Largest R: (2R)^2 and sums of squares of 1e6 R-sized values are finite.
@@ -388,8 +390,8 @@ def min_uf_search(R, w, n=2, trials=50, samples=None, seed=0, threads=1):
     seg_poly = EuclideanPolytope(vertices=seg.vertices)
     seg_est = uf(seg_poly, w, samples=samples, seed=seed, threads=threads)
     bound = uf_lower_bound(R, w, n)
-    # The segment's one sigma: the quadrature bound for n = 2, else exact,
-    # since a sample can miss the 1/R-wide layer of F(R |u_1|).
+    # The segment's one sigma: the arc sum's rounding bound for n = 2, else
+    # exact, since a sample can miss the 1/R-wide layer of F(R |u_1|).
     sigma = seg_est.stderr
     if n > 2:
         sq = WeightFunction("square", F=lambda s: w.F(s) ** 2)

@@ -247,26 +247,47 @@ def test_fuzz_findings_exit_2(verb, data, tmp_path):
        f"radius {radius!r}")
       for center, radius in (([0.0, 0.0, 1.0], 2.5), ([0.0, 1.0, 0.0], 2.5),
                              ([0.0, 0.0, 1.0], math.pi / 2))],
-    # The kind is "hemisphere-fan" exactly when the angles run from 0 to pi.
+    # The kind must be the one the angles and widen make.
     ({"dim": 2, "kind": "hemisphere-fan",
       "boundary_angles": [0, math.pi, 2 * math.pi]},
-     "bad kind field 'hemisphere-fan': a fan is a 'hemisphere-fan' exactly "
-     "when its boundary angles run from 0 to pi, and these run from 0.0 to "
-     "6.283185307179586"),
+     "bad kind field 'hemisphere-fan': boundary angles from 0.0 to "
+     "6.283185307179586 without widen make a 'lune-fan' (a 'hemisphere-fan' "
+     "runs from 0 to pi, a 'perturbed-fan' spans 2 pi with widen)"),
     ({"dim": 2, "kind": "lune-fan",
       "boundary_angles": [0, math.pi / 2, math.pi]},
-     "bad kind field 'lune-fan': a fan is a 'hemisphere-fan' exactly when "
-     "its boundary angles run from 0 to pi, and these run from 0.0 to "
-     "3.141592653589793"),
+     "bad kind field 'lune-fan': boundary angles from 0.0 to "
+     "3.141592653589793 without widen make a 'hemisphere-fan'"),
+    ({"dim": 2, "kind": "perturbed-fan",
+      "boundary_angles": [0, math.pi, 2 * math.pi]},
+     "bad kind field 'perturbed-fan': boundary angles from 0.0 to "
+     "6.283185307179586 without widen make a 'lune-fan'"),
+    ({"dim": 2, "kind": "lune-fan",
+      "boundary_angles": [0, 2 * math.pi / 3, 4 * math.pi / 3, 2 * math.pi],
+      "widen": 0.1},
+     "bad kind field 'lune-fan': boundary angles from 0.0 to "
+     "6.283185307179586 with widen make a 'perturbed-fan'"),
 ], ids=["ball-center", "widen-list", "widen-nested", "hemisphere-ball",
         "hemisphere-ball-radius", "hemisphere-ball-center",
-        "hemisphere-kind-full-turn", "lune-kind-half-turn"])
+        "hemisphere-kind-full-turn", "lune-kind-half-turn",
+        "perturbed-kind-without-widen", "lune-kind-with-widen"])
 def test_fan_field_lengths_exit_2_naming_the_field(data, message, tmp_path,
                                                    capsys):
     path = tmp_path / "fan.json"
     path.write_text(json.dumps(data))
     assert main(["verify-thm1", str(path), "--samples", "64"]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("angles, widen, made", [
+    ([0, math.pi, 2 * math.pi], None, "lune-fan"),
+    ([0, 2 * math.pi / 3, 4 * math.pi / 3, 2 * math.pi], 0.1,
+     "perturbed-fan"),
+    ([0, math.pi / 2, math.pi], None, "hemisphere-fan")])
+def test_fan_without_kind_loads_as_its_angles_make_it(angles, widen, made):
+    data = {"dim": 2, "boundary_angles": angles}
+    if widen is not None:
+        data["widen"] = widen
+    assert fan_from_dict(data).metadata["construction"] == made
 
 
 def test_fan_scalar_widen_still_loads():

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,8 +15,9 @@ from sphereplanks import (check_projection_consistency, constant_weight,
                           project_body, project_point, random_body,
                           sample_uniform_sphere, spherical_weight, uf)
 from sphereplanks.bodies import BodyError
-from sphereplanks.gnomonic import (EuclideanPolytope, _uf_integrand,
-                                   circumcenter_frame)
+from sphereplanks.gnomonic import (EuclideanPolytope, WeightFunction,
+                                   _uf_integrand, circumcenter_frame)
+from sphereplanks.linhart import random_kb_instance
 from sphereplanks.measure import default_samples
 from sphereplanks.randgen import cap_polytope, random_lune
 from sphereplanks.sphere import BLOCK_ENTRIES
@@ -233,6 +235,118 @@ def test_uf_quadrature_rejects_higher_dim():
     poly = EuclideanPolytope(vertices=np.eye(3))
     with pytest.raises(ValueError):
         uf(poly, constant_weight(), mode="quadrature")
+
+
+@pytest.mark.parametrize("w", [
+    spherical_weight(3),
+    WeightFunction("no-arc", F=lambda s: np.asarray(s, dtype=float))],
+    ids=["spherical-3", "no-arc"])
+def test_planar_uf_refuses_a_weight_without_its_arc_integral(w):
+    poly = EuclideanPolytope(vertices=np.array([[1.0, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="arc integral"):
+        uf(poly, w)
+
+
+def _mp_uf(V, kind):
+    """``(U_f, error estimate)`` at the working precision: mpmath.quad of
+    the two-sided integrand F(max(<v_i, u>, 0)) - F(max(<v_j, u>, 0)) over
+    the pieces of the direction circle on which the top vertex i, the
+    bottom vertex j and their signs are fixed.  The pieces are cut where
+    two vertices tie or a vertex is orthogonal to u; no hull is taken."""
+    F = (lambda s: s) if kind == "constant" else \
+        (lambda s: s / mpmath.sqrt(1 + s * s))
+    P = [(mpmath.mpf(x), mpmath.mpf(y)) for x, y in V]
+    turn = 2 * mpmath.pi
+    cuts = {mpmath.mpf(0)}
+    for i, (x, y) in enumerate(P):
+        for dx, dy in [(x, y)] + [(x - u, y - v) for u, v in P[i + 1:]]:
+            if dx or dy:
+                t = mpmath.atan2(dy, dx) + mpmath.pi / 2
+                cuts |= {t % turn, (t + mpmath.pi) % turn}
+    cuts = sorted(cuts) + [turn]
+
+    def state(t):
+        d = [x * mpmath.cos(t) + y * mpmath.sin(t) for x, y in P]
+        i = max(range(len(P)), key=d.__getitem__)
+        j = min(range(len(P)), key=d.__getitem__)
+        return i, j, d[i] > 0, d[j] > 0
+
+    pieces = []
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        key = state((a + b) / 2)
+        if pieces and pieces[-1][2] == key:
+            pieces[-1][1] = b
+        else:
+            pieces.append([a, b, key])
+    # In units of F(max |v|), so the estimate is relative for every R.
+    scale = F(max(mpmath.hypot(x, y) for x, y in P)) or 1
+    total = error = mpmath.mpf(0)
+    for a, b, (i, j, up, low) in pieces:
+        if not up:
+            continue
+
+        def g(t, i=i, j=j, low=low):
+            c, s = mpmath.cos_sin(t)
+            out = F(P[i][0] * c + P[i][1] * s)
+            return (out - F(P[j][0] * c + P[j][1] * s) if low else out) / scale
+
+        # Gauss-Legendre converges fastest on a piece with no layer; one
+        # about 1/|v| wide at a kink falls back to tanh-sinh.
+        value, err = mpmath.quad(g, [a, b], error=True,
+                                 method="gauss-legendre", maxdegree=5)
+        if err > mpmath.mpf(10) ** -40:
+            value, err = mpmath.quad(g, [a, b], error=True)
+        total, error = total + value, error + err
+    return total * scale, error * scale
+
+
+def _oracle_cases():
+    """K(B) members at five radii, translates off the origin at four (at
+    1e9 the oracle's tanh-sinh takes most of a second over the 1e-9-wide
+    layers), and inputs that reach the hull's edge cases."""
+    rng = make_stream(40)
+    cases = []
+    for R in (1e-3, 1.0, 1e3, 1e9, 1e150):
+        V = random_kb_instance(R, 2, rng).vertices
+        cases.append(pytest.param(V, id=f"kb-{R:g}"))
+        if R != 1e9:
+            cases.append(pytest.param(V + 1.1 * R * np.array([0.6, 0.8]),
+                                      id=f"translate-{R:g}"))
+    tri = np.array([[0.0, 0.0], [1.0, 0.2], [0.3, 0.9]])
+    cases += [pytest.param(np.array([[0.3, -0.2]]), id="one-point"),
+              pytest.param(np.vstack([tri, tri[::-1], tri[:1]]),
+                           id="duplicated"),
+              pytest.param(np.array([[-1.0, 0.5], [0.5, -0.25], [0.0, 0.0],
+                                     [2.0, -1.0]]), id="collinear"),
+              pytest.param(tri, id="vertex-at-origin")]
+    return cases
+
+
+@pytest.mark.parametrize("V", _oracle_cases())
+def test_planar_uf_matches_50_digit_mpmath_within_its_bound(V):
+    poly = EuclideanPolytope(vertices=V)
+    with mpmath.workdps(50):
+        for kind, w in (("constant", constant_weight()),
+                        ("spherical", spherical_weight(2))):
+            est = uf(poly, w)
+            want, err = _mp_uf(V.tolist(), kind)
+            assert err <= 1e-30 * abs(want) + 1e-300
+            assert abs(est.value - want) <= est.stderr, (kind, est, want)
+            if want == 0:  # one point: no hyperplane separates it
+                assert est.value == 0.0
+            else:
+                assert est.stderr <= 1e-12 * abs(want), (kind, est, want)
+
+
+@pytest.mark.parametrize("V, hull", [
+    ([[0.3, -0.2]], 1), ([[0.3, -0.2]] * 3, 1),
+    ([[-1.0, 0.5], [0.5, -0.25], [0.0, 0.0], [2.0, -1.0]], 2),
+    ([[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0], [1, 0.5], [0, 0], [0.5, 0.5]],
+     4)], ids=["one-point", "repeated-point", "collinear", "square"])
+def test_planar_uf_samples_count_the_hull_vertices(V, hull):
+    est = uf(EuclideanPolytope(vertices=np.array(V, dtype=float)),
+             constant_weight())
+    assert est.samples == hull
 
 
 def test_uf_segment_closed_form():

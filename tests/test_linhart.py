@@ -19,8 +19,8 @@ from sphereplanks import (check_7_1, constant_C, constant_weight,
                           segment_simplex, smallest_enclosing_ball,
                           sphere_area, spherical_weight, uf, uf_lower_bound)
 from sphereplanks.cones import min_norm_point
-from sphereplanks.gnomonic import QUAD_TOL, EuclideanPolytope
-from sphereplanks.linhart import (_images, check_vertex_averages,
+from sphereplanks.gnomonic import EuclideanPolytope
+from sphereplanks.linhart import (QUAD_TOL, _images, check_vertex_averages,
                                   make_kb_instance, random_kb_instance,
                                   sample_spherical_image)
 from sphereplanks.measure import N_BATCHES, mc_map

@@ -77,6 +77,14 @@ MALFORMED_FILES = {
     "fan-kind.json": '{"dim": 2, "kind": "hemisphere-fan", '
                      '"boundary_angles": [0.0, 3.141592653589793, '
                      '6.283185307179586]}',
+    # A kind the angles and widen do not make.
+    "fan-perturbed-kind.json": '{"dim": 2, "kind": "perturbed-fan", '
+                               '"boundary_angles": [0.0, 3.141592653589793, '
+                               '6.283185307179586]}',
+    "fan-lune-kind.json": '{"dim": 2, "kind": "lune-fan", '
+                          '"boundary_angles": [0.0, 2.0943951023931953, '
+                          '4.1887902047863905, 6.283185307179586], '
+                          '"widen": 0.05}',
     "fan-widen.json": '{"dim": 2, "kind": "hemisphere-fan", '
                       '"boundary_angles": [0.0, 1.5707963267948966, '
                       '3.141592653589793], "widen": [0.1, 0.1, 0.1]}',
@@ -134,6 +142,11 @@ def _body_argvs():
         runs += [[verb, body, "--format", "csv"] for verb in EXACT_VERBS]
         runs += [[verb, body, *MC, "--seed", "3", "--format", "csv"]
                  for verb in MC_VERBS]
+    # A planar U_f over a 128-gon's normal fan.
+    gens.append(["gen-body", "--kind", "cap", "--dim", "2", "--seed", "3",
+                 "--vertices", "128", "--out", "cap-2-128.json"])
+    runs += [["uf", "cap-2-128.json", "--weight", weight]
+             for weight in ("spherical", "constant")]
     return gens + runs
 
 
@@ -189,6 +202,12 @@ def _linhart_argvs():
                          f"--radius={radius}", "--samples", "2000"])
         runs.append(["verify-prop", "--dim", "3", f"--radius={radius}",
                      "--trials", "3", "--samples", "2000"])
+    # Planar U_f at the library's default trials: F(R cos) nearly linear
+    # at 1e-3, and with a layer far thinner than an ulp of angle at 1e150.
+    for radius in ("1e-3", "1e9", "1e150"):
+        for weight in ("spherical", "constant"):
+            runs.append(["verify-prop", "--dim", "2", "--weight", weight,
+                         f"--radius={radius}"])
     # At the library's default sizes, where F saturates on S^4 and the
     # sums of squares of R-sized values near the largest radii.
     for radius in HUGE_RADII:
