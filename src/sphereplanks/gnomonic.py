@@ -129,13 +129,17 @@ class WeightFunction:
     """A positive weight f on [0, inf), carried by its cumulative
     F(s) = int_0^s f, a vectorized callable: U_f and C(R, f) read f only
     through F.  ``kind`` is a label such as "spherical(2)" or "constant".
-    The planar U_f reads ``arc(r, t)`` = int_0^t F(r cos) for any t, F
-    odd, in closed form (None where it is not known).
+    Closed forms, None where not known: ``arc(r, t)`` = int_0^t F(r cos)
+    for any t, F odd; ``cap(r, rho)`` = int_0^rho F(r cos) sin, vectorized
+    over rho in [0, pi/2]; ``crofton(r, n)`` = (n - 1) int_0^{pi/2}
+    F(r cos) sin^{n-2}, or None for an n it does not hold in.
     """
 
     kind: str
     F: callable
     arc: callable = None
+    cap: callable = None
+    crofton: callable = None
 
 
 def spherical_weight(n):
@@ -157,14 +161,25 @@ def spherical_weight(n):
     def arc(r, t):  # n = 2: s = r sin t makes the integral an arcsine
         return math.atan2(r * math.sin(t), math.hypot(1.0, r * math.cos(t)))
 
-    return WeightFunction(f"spherical({n})", F, arc if n == 2 else None)
+    def cap(r, rho):  # n = 3: (Phi(r) - Phi(r c)) / r, Phi = s atan(s) / 2
+        # c = cos rho, d = 1 - c: no term is negative, so G is within 2^4 u.
+        d, c = 2.0 * np.sin(rho / 2.0) ** 2, np.cos(rho)
+        return (d * math.atan(r)
+                + c * np.arctan2(r * d, 1.0 + r * r * c)) / 2.0
+
+    # Crofton (Santalo, 1976): [-r, r] projects to an arc of length 2 atan r.
+    return WeightFunction(f"spherical({n})", F, arc if n == 2 else None,
+                          cap if n == 3 else None,
+                          lambda r, m: math.atan(r) if m == n else None)
 
 
 def constant_weight():
-    """The weight f = 1, with F(s) = s and arc r sin t."""
+    """The weight f = 1: F(s) = s, arc r sin t, cap r sin^2(rho) / 2."""
     return WeightFunction(kind="constant",
                           F=lambda s: np.asarray(s, dtype=float),
-                          arc=lambda r, t: r * math.sin(t))
+                          arc=lambda r, t: r * math.sin(t),
+                          cap=lambda r, rho: r * np.sin(rho) ** 2 / 2.0,
+                          crofton=lambda r, n: r)
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,9 @@ CAP_ROUND_DRAWS = 1 << 20
 #: Most multiply entries (k * d * rows) a ``blocked`` product takes:
 #: OpenBLAS runs products this small on the calling thread.
 BLOCK_ENTRIES = 1 << 18
-#: Nodes of the Gauss-Legendre rule ``integrate`` uses.
+#: Nodes of the Gauss-Legendre rule ``cap_area`` uses.
 GL_NODES = 64
-#: Gauss-Legendre nodes per panel of ``circle_rule``, and of the polar
-#: vertex averages' partial panels.
+#: Gauss-Legendre nodes per panel of ``circle_rule``.
 PANEL_NODES = 20
 
 
@@ -33,13 +32,17 @@ def sphere_area(n):
 
 
 def cap_area(n, radius):
-    """Surface measure of a spherical cap of the given radius in S^n."""
+    """Surface measure of a spherical cap of the given radius in S^n: for
+    n >= 2, int_0^radius sin^(n-1) by the ``GL_NODES``-point Gauss-Legendre
+    rule, accurate to rounding since the integrand is entire."""
     if not 0.0 <= radius <= math.pi + UNIT_TOL:
         raise ValueError(f"cap radius must lie in [0, pi], got {radius}")
     if n == 1:
         return 2.0 * radius
-    return sphere_area(n - 1) * integrate(lambda t: np.sin(t) ** (n - 1),
-                                          0.0, radius)
+    x, w = gauss_legendre(GL_NODES)
+    half = 0.5 * radius
+    return sphere_area(n - 1) * (half * float(
+        w @ np.sin(half * (x + 1.0)) ** (n - 1)))
 
 
 @functools.cache
@@ -52,41 +55,23 @@ def gauss_legendre(nodes):
     return rule
 
 
-def integrate(f, a, b):
-    """int_a^b f(t) dt by the ``GL_NODES``-point Gauss-Legendre rule; ``f``
-    maps an array of nodes to an array of values.  Exact for polynomials
-    of degree below 2 * GL_NODES, and accurate to rounding for integrands
-    analytic near [a, b]."""
-    x, w = gauss_legendre(GL_NODES)
-    half = 0.5 * (b - a)
-    return half * float(w @ f(a + half * (x + 1.0)))
-
-
-def graded(t, h, scale):
-    """Panel ends t +- h 2^-k, k = 1 to ceil(log2 scale) (at most 60), that
-    shrink toward a point t where the integrand has a layer about 1/scale
-    wide; none for scale <= 1.  The ends come back flat."""
-    t, scale = np.broadcast_arrays(t, scale)
-    k = np.arange(1, 61)
-    use = k - 1 < np.log2(np.maximum(scale, 1.0))[..., None]
-    step = h * 0.5 ** k
-    return np.concatenate([(t[..., None] - step)[use],
-                           (t[..., None] + step)[use]])
-
-
 def circle_rule(normals, scales):
     """Flat ``(theta, weights)`` of a rule for int_0^{2 pi} h(w) dtheta,
     w = (cos theta, sin theta), where h is smooth between the directions
     orthogonal to a row c of ``normals``: t = atan2(c) + pi/2 and t - pi
-    split the circle into panels, graded toward t and t - pi where h has
-    a layer about 1/scales[i] wide (none for scales[i] <= 1), with
+    split the circle into panels, graded toward each split s where h has
+    a layer about 1/scales[i] wide by the ends s +- (pi/2) 2^-k, k = 1 to
+    ceil(log2 scales[i]) (at most 60; none for scales[i] <= 1), with
     PANEL_NODES Gauss-Legendre nodes on each panel."""
     normals = np.asarray(normals, dtype=float)
     t = np.arctan2(normals[:, 1], normals[:, 0]) + math.pi / 2.0
-    ends = np.concatenate([t, t - math.pi])
-    layers = graded(ends, math.pi / 2.0, np.tile(scales, 2))
-    pts = np.unique(np.mod(np.concatenate([[0.0], ends, layers]),
-                           2.0 * math.pi))
+    ends = np.concatenate([t, t - math.pi])[:, None]
+    k = np.arange(1, 61)
+    use = k - 1 < np.log2(np.maximum(np.tile(scales, 2), 1.0))[:, None]
+    step = math.pi / 2.0 * 0.5 ** k
+    pts = np.unique(np.mod(np.concatenate(
+        [[0.0], ends[:, 0], (ends - step)[use], (ends + step)[use]]),
+        2.0 * math.pi))
     lo, hi = pts[:, None], np.append(pts[1:], 2.0 * math.pi)[:, None]
     x, wx = gauss_legendre(PANEL_NODES)
     theta = (lo + hi) / 2.0 + (hi - lo) / 2.0 * x

@@ -153,9 +153,10 @@ def test_criterion_5_polar_radius_duality(capsys):
 
 
 def test_criterion_6_vertex_average_inequality(capsys):
-    """S_j-average of g >= C(R, f) - 3 QUAD_TOL C(R, f) at every vertex of
-    100 random inscribed simplices (n = 2, 3; both weights), each average a
-    polar Gauss-Legendre quadrature; segment equality two-sided; regular
+    """S_j-average of g >= C(R, f) - 3 stderr at every vertex of 100
+    random inscribed simplices (n = 2, 3; both weights), each average a
+    polar integral with a stated bound as its stderr (a rounding bound in
+    R^2, QUAD_TOL C(R, f) in R^3); segment equality two-sided; regular
     triangle with f = 1 strictly above 2/pi."""
     failures = 0
     seg_ok = True
@@ -185,12 +186,12 @@ def test_criterion_6_vertex_average_inequality(capsys):
         tri_rep.rhs == pytest.approx(2.0 / math.pi, abs=1e-9)
     report(capsys, 6,
            failures == 0 and seg_ok and tri_strict,
-           f"vertex-average inequality by polar quadrature (lhs + 3 "
-           f"QUAD_TOL rhs >= rhs), {n_vertex_checks} vertex checks "
+           f"vertex-average inequality by polar integrals (lhs + 3 "
+           f"stderr >= rhs), {n_vertex_checks} vertex checks "
            f"({failures} failures), {n_segments} segment equalities "
            f"{'ok' if seg_ok else 'violated'}, triangle lhs "
-           f"{tri_rep.lhs:.4f} > 2/pi = {2 / math.pi:.4f} beyond 3 QUAD_TOL "
-           f"rhs: {tri_strict}")
+           f"{tri_rep.lhs:.4f} > 2/pi = {2 / math.pi:.4f} beyond 3 stderr: "
+           f"{tri_strict}")
 
 
 def test_criterion_7_segment_minimizes_uf(capsys):

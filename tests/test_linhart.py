@@ -4,6 +4,7 @@ the vertex-average inequality."""
 import functools
 import itertools
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -19,7 +20,7 @@ from sphereplanks import (check_7_1, constant_C, constant_weight,
                           segment_simplex, smallest_enclosing_ball,
                           sphere_area, spherical_weight, uf, uf_lower_bound)
 from sphereplanks.cones import min_norm_point
-from sphereplanks.gnomonic import EuclideanPolytope
+from sphereplanks.gnomonic import EuclideanPolytope, WeightFunction
 from sphereplanks.linhart import (QUAD_TOL, _images, check_vertex_averages,
                                   make_kb_instance, random_kb_instance,
                                   sample_spherical_image)
@@ -358,6 +359,80 @@ def test_constant_C_matches_adaptive_quadrature(n, kind):
                                                     abs=0.0)
 
 
+def _mp_F(kind, n, s):
+    """F(s) at the working precision: s, or int_0^x cos^(n-1), x = atan s,
+    by I_k = (cos^(k-1) x sin x + (k-1) I_(k-2)) / k."""
+    if kind == "constant":
+        return s
+    x = mpmath.atan(s)
+    I = [x, mpmath.sin(x)]
+    for k in range(2, n):
+        I.append((mpmath.cos(x) ** (k - 1) * mpmath.sin(x)
+                  + (k - 1) * I[k - 2]) / k)
+    return I[n - 1]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("kind", ["constant", "spherical"])
+def test_constant_C_matches_50_digit_mpmath(n, kind):
+    # constant_C states that C is within 2^4 u = 2^-49 of its value.  The
+    # oracle integrates F(R cos phi) sin^{n-2} phi, with breaks in F's
+    # layer about 1/R wide at phi = pi/2.
+    w = constant_weight() if kind == "constant" else spherical_weight(n)
+    with mpmath.workdps(50):
+        half = mpmath.pi / 2
+        den = mpmath.quad(lambda p: mpmath.sin(p) ** (n - 2), [0, half])
+        for R in (1e-3, 0.37, 1.0, 1e3, 1e9, 1e150):
+            Rm = mpmath.mpf(R)
+            pts = [0] + [half - t / Rm for t in (1e3, 1.0, 1e-3)
+                         if 1e-40 < t / R < 1.0] + [half]
+            num = mpmath.quad(lambda p: _mp_F(kind, n, Rm * mpmath.cos(p))
+                              * mpmath.sin(p) ** (n - 2), pts)
+            want = num / den
+            assert abs(constant_C(R, w, n) - want) <= 2.0 ** -49 * want, R
+
+
+@pytest.mark.parametrize("kind", ["constant", "spherical"])
+def test_cap_matches_50_digit_mpmath(kind):
+    # cap states that G is within 2^4 u = 2^-49 of its value.
+    w = constant_weight() if kind == "constant" else spherical_weight(3)
+    rho = np.array([1e-8, 1e-3, 0.3, 1.0, 1.5, math.pi / 2.0])
+    with mpmath.workdps(50):
+        for R in (1e-3, 1.0, 1e3, 1e9, 1e150):
+            G = _mp_G(kind, 3, R)
+            for got, r in zip(w.cap(R, rho), rho):
+                want = G(mpmath.mpf(r), mpmath.cos(mpmath.mpf(r)))
+                assert abs(got - want) <= 2.0 ** -49 * want, (R, r)
+
+
+def test_constant_C_refuses_a_weight_without_a_closed_form():
+    # A spherical weight holds its closed forms in its own dimension only.
+    custom = WeightFunction("custom", F=lambda s: np.asarray(s, dtype=float))
+    for w, n in ((spherical_weight(2), 3), (spherical_weight(3), 2),
+                 (spherical_weight(4), 5), (custom, 2)):
+        with pytest.raises(ValueError, match=re.escape(w.kind)):
+            constant_C(1.0, w, n)
+    with pytest.raises(ValueError, match=re.escape("spherical(2)")):
+        check_vertex_averages(segment_simplex(1.0, 3), spherical_weight(2))
+
+
+@pytest.mark.parametrize("w", [constant_weight(), spherical_weight(2)],
+                         ids=["constant", "spherical"])
+def test_planted_C_error_fails_the_planar_segment_checks(w, monkeypatch):
+    """C(R, f) off by 1e-12 relative fails the n = 2 segment's vertex
+    verdicts and min_uf_search's match of the segment with its bound."""
+    from sphereplanks import linhart
+    true_C = linhart.constant_C
+    monkeypatch.setattr(linhart, "constant_C",
+                        lambda R, w, n: true_C(R, w, n) * (1.0 + 1e-12))
+    for R in (1e-3, 1.0, 1e150):
+        reps = check_vertex_averages(segment_simplex(R, 2), w)
+        assert not any(rep.passed for rep in reps), R
+        rep = min_uf_search(R, w, n=2, trials=2)
+        assert not rep.passed
+        assert abs(rep.details["segment_residual"]) > rep.tolerance, R
+
+
 def test_uf_lower_bound_values():
     # f = 1, n = 2: bound = 2pi * 2R/pi = 4R.
     assert uf_lower_bound(1.0, constant_weight(), 2) == \
@@ -500,8 +575,10 @@ def _polar_cases():
 
 @pytest.mark.parametrize("s,vertices", _polar_cases())
 def test_polar_vertex_averages_match_50_digit_mpmath(s, vertices):
-    # Each report states QUAD_TOL rhs as its bound; mu(S_j) is held to
-    # QUAD_TOL relative.
+    # Each report states the bound its lhs is held to: the rounding bound
+    # 2^-44 rhs pi / mu(S_j) for n = 2, QUAD_TOL rhs for n = 3.  mu(S_j) is
+    # held to 2^-44 relative for n = 2 and to QUAD_TOL for n = 3.
+    tol = 2.0 ** -44 if s.n == 2 else QUAD_TOL
     with mpmath.workdps(50):
         for j in vertices:
             integrate, mu = _mp_vertex(s.vertices, j)
@@ -512,19 +589,20 @@ def test_polar_vertex_averages_match_50_digit_mpmath(s, vertices):
                     scaled = make_simplex(R, R * s.vertices)
                     rep, = check_vertex_averages(scaled, w, vertices=[j])
                     lhs = float(integrate(_mp_G(kind, s.n, R)) / mu)
-                    assert rep.details["stderr"] == QUAD_TOL * rep.rhs
+                    mu_sj = rep.details["mu_Sj"]
+                    assert rep.details["stderr"] == (
+                        tol * rep.rhs * math.pi / mu_sj if s.n == 2
+                        else tol * rep.rhs)
                     assert abs(rep.lhs - lhs) <= rep.details["stderr"], \
                         (j, kind, R, rep.lhs, lhs)
-                    assert rep.details["mu_Sj"] == \
-                        pytest.approx(float(mu), rel=QUAD_TOL, abs=0.0)
+                    assert mu_sj == pytest.approx(float(mu), rel=tol, abs=0.0)
 
 
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("kind", ["constant", "spherical"])
 def test_polar_segment_averages_are_constant_C(n, kind):
-    # S_j is the half-sphere about p_j, so rho = pi/2 everywhere and the
-    # numerator is constant_C's, panel for panel.  The denominators differ
-    # by rounding: sum dw M(pi/2) here, the quadrature of sin^{n-2} there.
+    # S_j is the half-sphere about p_j, so rho = pi/2 everywhere and lhs is
+    # G(pi/2) / M(pi/2): constant_C's closed form, written another way.
     w = constant_weight() if kind == "constant" else spherical_weight(n)
     eps = np.finfo(float).eps
     for R in (1e-100, 1e-3, 1.0, 5.0, 1e3, 1e9, 1e150):
@@ -710,11 +788,10 @@ def test_perturbed_segment_increases_uf():
 @pytest.mark.parametrize("R", [0.5, 1.0, 2.0, 5.0, 10.0, 100.0, 1e3, 1e4,
                                1e6])
 def test_constant_C_matches_closed_forms_for_any_radius(R):
-    # F(R cos phi) has a layer about 1/R wide at phi = pi/2.
-    for got, want in ((constant_C(R, spherical_weight(2), 2),
-                       2.0 / math.pi * math.atan(R)),
-                      (constant_C(R, spherical_weight(3), 3),
-                       math.atan(R) / 2.0),
-                      (constant_C(R, constant_weight(), 2), 2.0 * R / math.pi),
-                      (constant_C(R, constant_weight(), 3), R / 2.0)):
-        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    # C = L / ((n - 1) W_{n-2}): W_0 = pi/2, W_1 = 1, W_2 = pi/4, W_3 = 2/3.
+    for n, den in ((2, math.pi / 2.0), (3, 2.0), (4, 3.0 * math.pi / 4.0),
+                   (5, 8.0 / 3.0)):
+        for got, want in ((constant_C(R, spherical_weight(n), n),
+                           math.atan(R) / den),
+                          (constant_C(R, constant_weight(), n), R / den)):
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)

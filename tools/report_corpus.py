@@ -214,6 +214,17 @@ def _linhart_argvs():
         runs += [["verify-linhart", "--dim", "4", "--weight", "spherical",
                   "--simplex", "segment", f"--radius={radius}"],
                  ["verify-prop", "--dim", "4", f"--radius={radius}"]]
+    # The closed-form C(R, f) and radial integrals G at both ends of the
+    # radii, and, at the library's default size, F flat on S^4.
+    for n in ("2", "3"):
+        for radius in ("1e-3", "1e150"):
+            for weight in ("spherical", "constant"):
+                for simplex in ("random", "segment"):
+                    runs.append(["verify-linhart", "--dim", n, "--weight",
+                                 weight, "--simplex", simplex,
+                                 f"--radius={radius}"])
+    runs.append(["verify-linhart", "--dim", "5", "--weight", "spherical",
+                 "--simplex", "segment", "--radius=1e150"])
     return runs
 
 
